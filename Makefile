@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-quick figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
+.PHONY: test bench bench-check bench-quick figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store perfbench-selftest ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -33,13 +33,15 @@ examples:
 	$(PYTHON) examples/option_pricing.py tiny
 	$(PYTHON) examples/adaptive_approximation.py tiny
 
-# Network backend: parity + fault-injection matrix over the loopback
-# transport, cache-less and fail-fast (mirrors the CI step), and the soak
-# tier (500-task churn with mid-drain worker loss, excluded from tier-1).
+# Remote-worker backend: parity + fault-injection matrix over the loopback
+# transport, the wire properties and the subprocess endpoints' shared-memory
+# plane, cache-less and fail-fast (mirrors the CI step), and the soak tier
+# (500-task churn with mid-drain worker loss, excluded from tier-1).
 net-loopback:
 	$(PYTHON) -m pytest tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py \
-		tests/runtime/test_net_wire_property.py -p no:cacheprovider -x -q
+		tests/runtime/test_net_wire_property.py \
+		tests/runtime/test_process_backend.py -p no:cacheprovider -x -q
 
 # Residency protocol tier: the hypothesis interleaving property + unit
 # rules for the per-endpoint stale-bytes caches, the parity matrix (which
@@ -76,6 +78,11 @@ tht-store:
 		tests/serving/test_gateway.py -x -q
 	$(PYTHON) scripts/bench.py --quick --out /tmp/tht_store_bench.json
 
+# Benchmark runner self-test: every workload at scale tiny, traced and
+# untraced, with its output checks, leak checks and metric contract.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
+
 # Mirror of .github/workflows/ci.yml: tier-1 suite, examples smoke,
 # network-loopback matrix + soak, serving smoke, perf gates.
 ci:
@@ -87,4 +94,5 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
 	$(MAKE) tht-store
+	$(MAKE) perfbench-selftest
 	$(PYTHON) scripts/bench.py --check

@@ -216,8 +216,10 @@ class RuntimeConfig:
         Worker threads / worker processes / simulated cores.
     executor:
         Execution backend selected by :func:`repro.runtime.executor.build_executor`:
-        ``"serial"``, ``"threaded"``, ``"process"`` or ``"simulated"``
-        (DESIGN.md §4).
+        ``"serial"``, ``"threaded"``, ``"process"``, ``"network"`` or
+        ``"simulated"`` (DESIGN.md §4).  ``"process"`` and ``"network"`` are
+        the one remote-worker executor over forked subprocesses (shared
+        memory) or over ``net_endpoints`` (bytes on the wire).
     scheduler:
         Ready-queue policy name (``"fifo"``, ``"lifo"`` or
         ``"work_stealing"``).
@@ -230,58 +232,60 @@ class RuntimeConfig:
     seed:
         Seed for any stochastic scheduling decisions (work stealing).
     mp_workers:
-        Worker-process count for the ``"process"`` backend (``None`` falls
+        Worker count of the remote-worker backends: subprocesses of
+        ``"process"``, loopback workers of ``"network"`` (``None`` falls
         back to ``num_threads``).
     mp_chunk_size:
         Maximum ready tasks batched into one dispatch message of the
-        process backend (amortises queue/pickle overhead on wide graphs;
-        narrow/wavefront graphs still dispatch singles, see DESIGN.md §4.3).
+        remote-worker backends (amortises framing and pickling overhead on
+        wide graphs; narrow/wavefront graphs still dispatch singles, see
+        DESIGN.md §4.3).
     mp_start_method:
-        ``multiprocessing`` start method for the process backend (``None``
-        picks ``"fork"`` where available, else ``"spawn"``).
+        ``multiprocessing`` start method of the ``"process"`` workers
+        (``None`` picks ``"fork"`` where available, else ``"spawn"``).
     net_endpoints:
-        Worker endpoints for the ``"network"`` backend (DESIGN.md §4.5).
+        Worker endpoints for the ``"network"`` backend (DESIGN.md §4.3).
         Either ``"loopback"`` / ``"loopback:<n>"`` — spawn ``n`` in-process
         loopback workers (default: ``mp_workers`` falling back to
         ``num_threads``) speaking the real wire protocol over socketpairs —
         or a comma-separated list of ``host:port`` addresses of
         ``scripts/net_worker.py`` daemons.
     net_timeout_s:
-        Heartbeat/ack timeout of the network backend: an endpoint with
+        Heartbeat/ack timeout of loopback and TCP endpoints: an endpoint with
         outstanding work that stays silent this long is declared dead and
         its chunks are resubmitted elsewhere.  Must exceed the worst-case
-        wall-clock of one dispatched chunk.
+        wall-clock of one dispatched chunk.  Subprocess endpoints are not
+        timed out for silence; their death closes the socket.
     net_max_retries:
-        How many times one task may be resubmitted after endpoint failures
-        before the drain raises
-        :class:`~repro.common.exceptions.NetworkDrainError`.
-    net_timeout_grace_s:
-        Dispatch/queue latency allowance the network backend adds to the
-        per-chunk task budget before an endpoint is declared wedged
-        (``task_timeout_s`` supervision).  Replaces the hardcoded
-        ``NetworkExecutor.TIMEOUT_GRACE`` class constant.
+        How many times one task may be resubmitted after its worker was
+        lost — a subprocess that died or wedged, or a failed loopback or
+        TCP endpoint — before it is declared failed
+        (:class:`~repro.common.exceptions.WorkerLostError`, or
+        :class:`~repro.common.exceptions.TaskTimeoutError` for a wedge).
     net_residency:
-        Enable per-endpoint data residency on the network backend
-        (DESIGN.md §4.5): workers keep generation-tagged caches of shipped
-        buffer spans keyed on :mod:`repro.runtime.data` write-versions, the
-        parent tracks them in a :class:`repro.runtime.residency.
-        ResidencyTable`, and dispatch ships bytes only for *stale* spans —
-        plus routes ready chunks to the endpoint already holding their
-        input bytes.  Off restores the ship-everything round-robin backend.
+        Enable per-endpoint data residency on the byte plane (DESIGN.md
+        §4.3): workers keep generation-tagged caches of shipped buffer spans
+        keyed on :mod:`repro.runtime.data` write-versions, the parent tracks
+        them in a :class:`repro.runtime.residency.ResidencyTable`, and
+        dispatch ships bytes only for *stale* spans — plus routes ready
+        chunks to the endpoint already holding their input bytes.  Off
+        restores the ship-everything round-robin backend.
     net_residency_budget_bytes:
         Per-endpoint byte budget of the residency table; least-recently
         used entries beyond it are evicted (and invalidated on the worker).
     task_timeout_s:
         Per-task wall-clock budget enforced by the supervision layer
         (DESIGN.md §7).  ``None`` (default) disables per-task timeouts.  The
-        process/network backends enforce it preemptively (the worker is
+        remote-worker backends enforce it preemptively (the worker is
         killed/excluded and the task resubmitted or failed); the in-process
         backends (serial/threaded) cannot preempt a running Python frame and
         detect the overrun when the task returns.
     task_max_retries:
-        How many times a failed task (body raised, timed out, or its worker
-        died) is re-run before it is declared failed.  ``0`` (default) fails
-        on the first error, preserving pre-supervision behaviour.
+        How many times a task whose body raised (or, on the in-process
+        backends, overran ``task_timeout_s``) is re-run before it is
+        declared failed.  ``0`` (default) fails on the first error,
+        preserving pre-supervision behaviour.  A lost worker is budgeted by
+        ``net_max_retries`` instead.
     retry_backoff_s:
         Base of the exponential back-off between task retries: attempt *k*
         sleeps ``retry_backoff_s * 2**(k-1)`` seconds before re-running.
@@ -313,7 +317,6 @@ class RuntimeConfig:
     net_endpoints: str = "loopback"
     net_timeout_s: float = 30.0
     net_max_retries: int = 2
-    net_timeout_grace_s: float = 0.25
     net_residency: bool = True
     net_residency_budget_bytes: int = 256 << 20
     task_timeout_s: Optional[float] = None
@@ -354,10 +357,6 @@ class RuntimeConfig:
         if self.net_max_retries < 0:
             raise ConfigurationError(
                 f"net_max_retries must be >= 0, got {self.net_max_retries}"
-            )
-        if self.net_timeout_grace_s < 0:
-            raise ConfigurationError(
-                f"net_timeout_grace_s must be >= 0, got {self.net_timeout_grace_s}"
             )
         if self.net_residency_budget_bytes < 1:
             raise ConfigurationError(

@@ -22,37 +22,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# The unified task-supervision error taxonomy lives with the rest of the
-# exception hierarchy in :mod:`repro.common.exceptions`; it is re-exported
-# here so ``repro.common.errors`` is the one-stop module for everything
-# error-shaped — metrics below, named failure classes here.
-from repro.common.exceptions import (  # noqa: F401  (re-export)
-    AdmissionError,
-    DrainAbortedError,
-    GatewayError,
-    GatewayProtocolError,
-    GatewayShutdownError,
-    TaskFailedError,
-    TaskTimeoutError,
-    TenantRejectedError,
-    WorkerLostError,
-)
-
 __all__ = [
     "chebyshev_relative_error",
     "euclidean_relative_error",
     "correctness_percent",
     "lu_residual_error",
     "combined_chebyshev_error",
-    "TaskFailedError",
-    "TaskTimeoutError",
-    "WorkerLostError",
-    "DrainAbortedError",
-    "GatewayError",
-    "GatewayProtocolError",
-    "TenantRejectedError",
-    "AdmissionError",
-    "GatewayShutdownError",
 ]
 
 

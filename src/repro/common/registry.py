@@ -7,8 +7,9 @@ of the layering, so that
 
 * configuration objects (:mod:`repro.common.config`) can validate names
   without importing the runtime or ATM layers, and
-* new backends (e.g. the planned network-transport executor, DESIGN.md §4.3)
-  can be plugged in by calling ``register(...)`` — no call site changes.
+* new backends can be plugged in by calling ``register(...)`` — no call
+  site changes (the in-tree ``"process"`` and ``"network"`` backends are
+  registered the same way, DESIGN.md §6.2).
 
 Each :class:`Registry` is born knowing its *builtin* names so that config
 validation works even before the module providing the factories has been

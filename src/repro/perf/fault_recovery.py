@@ -50,7 +50,7 @@ def _run_once(workers: int, tasks: int, inject_kill: bool) -> dict:
         wall = time.perf_counter() - t0
     for src, dst in sinks:
         assert np.array_equal(dst, src ** 2), "fault-recovery bench corrupted data"
-    stats = result.extra.get("process_backend", {})
+    stats = result.extra.get("network_backend", {})
     return {
         "wall_s": wall,
         "respawns": stats.get("respawns", 0),

@@ -10,9 +10,10 @@ The runtime exposes the same concepts the paper relies on:
   :mod:`repro.runtime.graph`);
 * **ready queues** and **schedulers** (:mod:`repro.runtime.ready_queue`,
   :mod:`repro.runtime.scheduler`);
-* four executors: a serial one, a real-thread one, a multiprocess
-  shared-memory one and a deterministic discrete-event multicore simulator
-  (:mod:`repro.runtime.executor`, :mod:`repro.runtime.mp_executor`,
+* five executor backends: serial, real-thread, remote-worker (forked
+  subprocesses over shared memory as ``"process"``, loopback or TCP workers
+  as ``"network"``) and a deterministic discrete-event multicore simulator
+  (:mod:`repro.runtime.executor`, :mod:`repro.runtime.net_executor`,
   :mod:`repro.runtime.simulator`, selected by registry name via
   :func:`repro.runtime.executor.build_executor`; see DESIGN.md §4);
 * an execution **trace recorder** used to regenerate the paper's Figures 7
@@ -31,7 +32,7 @@ from repro.runtime.executor import (
     build_executor,
 )
 from repro.runtime.simulator import SimulatedExecutor
-from repro.runtime.mp_executor import ProcessExecutor
+from repro.runtime.net_executor import NetworkExecutor
 
 __all__ = [
     "AccessMode",
@@ -48,6 +49,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadedExecutor",
     "SimulatedExecutor",
-    "ProcessExecutor",
+    "NetworkExecutor",
     "build_executor",
 ]

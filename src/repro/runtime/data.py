@@ -34,7 +34,6 @@ __all__ = [
     "DataRegion",
     "SharedDataRegion",
     "ArrayRef",
-    "RegionDescriptor",
     "DataAccess",
     "In",
     "Out",
@@ -318,7 +317,7 @@ class ArrayRef:
     """Serializable handle to an array view living in a shared segment.
 
     Produced by :meth:`repro.runtime.shm.SharedBufferRegistry.array_ref` in
-    the parent and materialised by :meth:`repro.runtime.shm.WorkerArena.view`
+    the parent and materialised by :meth:`repro.runtime.net_wire.ChunkArena.view`
     in a worker process.  ``offset``/``strides`` are byte-exact relative to
     the owning base buffer, so the reconstructed view aliases the same bytes
     the parent-side view does.
@@ -331,14 +330,6 @@ class ArrayRef:
     shape: tuple[int, ...]
     strides: tuple[int, ...]
     dtype: str
-
-
-@dataclass(frozen=True)
-class RegionDescriptor:
-    """Serializable description of one :class:`DataRegion` (ref + name)."""
-
-    ref: ArrayRef
-    name: str
 
 
 class SharedDataRegion(DataRegion):

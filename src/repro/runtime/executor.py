@@ -287,7 +287,7 @@ class BaseExecutor:
     def close(self) -> None:
         """Release executor resources (worker pools, shared segments).
 
-        No-op for in-process executors; the process backend overrides it.
+        No-op for in-process executors; the remote-worker backend overrides it.
         :meth:`repro.session.Session.finish` calls it after the final barrier.
         """
 
@@ -482,17 +482,10 @@ class ThreadedExecutor(BaseExecutor):
 
 # -- backend registry ------------------------------------------------------------
 # Builtin factories resolved by name through the executor registry (DESIGN.md
-# §4).  ``"process"`` and ``"simulated"`` import their modules lazily to keep
-# the module dependency graph acyclic; plugin backends (e.g. a network
-# transport on the mp_executor seam) are added with
-# repro.session.register_executor(name, factory) and become valid
+# §4).  ``"process"``, ``"network"`` and ``"simulated"`` import their modules
+# lazily to keep the module dependency graph acyclic; plugin backends are
+# added with repro.session.register_executor(name, factory) and become valid
 # ``RuntimeConfig.executor`` values automatically.
-
-
-def _make_process(config, engine, sim_config):
-    from repro.runtime.mp_executor import ProcessExecutor
-
-    return ProcessExecutor(config=config, engine=engine)
 
 
 def _make_simulated(config, engine, sim_config):
@@ -501,7 +494,12 @@ def _make_simulated(config, engine, sim_config):
     return SimulatedExecutor(config=config, engine=engine, sim_config=sim_config)
 
 
-def _make_network(config, engine, sim_config):
+def _make_remote(config, engine, sim_config):
+    """``"process"`` and ``"network"``: the remote-worker executor (§4.3).
+
+    It picks its endpoints from ``config.executor``: forked subprocesses on
+    the shared-memory plane, or ``config.net_endpoints`` on the byte plane.
+    """
     from repro.runtime.net_executor import NetworkExecutor
 
     return NetworkExecutor(config=config, engine=engine)
@@ -517,12 +515,9 @@ EXECUTORS.register(
     lambda config, engine, sim_config: ThreadedExecutor(config=config, engine=engine),
     replace=True,
 )
-EXECUTORS.register("process", _make_process, replace=True)
+EXECUTORS.register("process", _make_remote, replace=True)
 EXECUTORS.register("simulated", _make_simulated, replace=True)
-# The network backend lands on the same registration seam DESIGN.md §6.2
-# documents for out-of-tree plugins (register_executor("network", factory));
-# shipping in-tree it registers here like every other builtin.
-EXECUTORS.register("network", _make_network, replace=True)
+EXECUTORS.register("network", _make_remote, replace=True)
 
 
 def build_executor(

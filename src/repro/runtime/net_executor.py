@@ -1,48 +1,62 @@
-"""Network-transport execution backend (DESIGN.md §4.5).
+"""The remote-worker execution backend (DESIGN.md §4.3).
 
-:class:`NetworkExecutor` drives remote workers over the length-prefixed
-frame protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
-dependence graph, the scheduler and the reference ATM engine; workers — in
-the same process behind :class:`~repro.runtime.net_transport.LoopbackEndpoint`
-socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP daemons —
-rebuild task chunks from shipped byte buffers, run the full ATM protocol
-against per-worker engine replicas, and ship written region bytes back.
+:class:`NetworkExecutor` drives workers over the length-prefixed frame
+protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
+dependence graph, the scheduler and the reference ATM engine; workers
+rebuild task chunks, run the full ATM protocol against per-worker engine
+replicas, and report per-task outcomes.  Workers sit behind one of three
+endpoint kinds (:mod:`repro.runtime.net_transport`), and the kind picks the
+data plane:
 
-The structural differences from the process backend (§4.3), which this
-executor otherwise mirrors deliberately:
-
-* **No shared memory.**  Every dispatch serializes the byte spans a chunk
-  touches; every completion carries the written bytes home, applied to the
-  parent arrays *before* successors are released.  With per-endpoint data
-  residency (``RuntimeConfig.net_residency``, default on) dispatch cost is
-  proportional to *stale* data rather than touched data: the parent's
-  :class:`~repro.runtime.residency.ResidencyTable` tracks which buffer
-  spans each endpoint already holds at which write-version, chunks ship
-  ``data=None`` cached references for current spans, and the placement
-  layer routes ready chunks to the endpoint holding the most of their
-  input bytes (same-key twins are additionally pinned to one endpoint by
-  an ATM-key affinity route, which makes cross-chunk reuse deterministic).
+* **Shared memory** — ``executor="process"``: forked
+  :class:`~repro.runtime.net_transport.SubprocessEndpoint` children on this
+  host.  The parent's :class:`~repro.runtime.shm.SharedBufferRegistry`
+  mirrors every touched base buffer into a shared segment (``copy_in`` at
+  drain start), chunks carry segment references, workers write the
+  segments in place and bump the cross-process
+  :class:`~repro.runtime.shm.SharedVersionTable`, and the parent copies the
+  written buffers back once, at drain end (``copy_out``).  No region bytes
+  travel on the socket.  A child that dies or wedges is respawned in place.
+* **Bytes** — ``executor="network"``: in-process loopback workers or
+  ``scripts/net_worker.py`` TCP daemons.  Every dispatch serializes the byte
+  spans a chunk touches; every completion carries the written bytes home,
+  applied to the parent arrays *before* successors are released.  With
+  per-endpoint data residency (``RuntimeConfig.net_residency``, default on)
+  dispatch cost is proportional to *stale* data rather than touched data:
+  the parent's :class:`~repro.runtime.residency.ResidencyTable` tracks which
+  buffer spans each endpoint already holds at which write-version, chunks
+  ship ``data=None`` cached references for current spans, and the placement
+  layer routes ready chunks to the endpoint holding the most of their input
+  bytes (same-key twins are additionally pinned to one endpoint by an
+  ATM-key affinity route, which makes cross-chunk reuse deterministic).
   Cold buffers fall back to a round-robin cursor over the *fixed* endpoint
   pool — the cursor skips failed endpoints instead of re-indexing a
   shrunken live list, so placement stays deterministic across failover.
   See PERFORMANCE.md ("Network backend dispatch overhead" and
-  "Stale-bytes dispatch").
+  "Stale-bytes dispatch").  A failed loopback or TCP endpoint stays
+  excluded.
+
+Common to both planes:
+
 * **Failure is expected.**  Per-chunk acks prove receipt, heartbeat
-  timeouts (``RuntimeConfig.net_timeout_s``) detect dead or wedged
-  endpoints, and the unfinished chunks of a failed endpoint are resubmitted
-  to the surviving ones — the failed endpoint stays excluded.  A task can
-  be resubmitted at most ``net_max_retries`` times; exhausting that budget,
-  losing every endpoint, or exceeding the drain deadline raises
+  timeouts (``RuntimeConfig.net_timeout_s``) detect dead or wedged loopback
+  and TCP endpoints (a subprocess's death is seen directly as a closed
+  socket), ``task_timeout_s`` bounds a chunk's age (on the shared-memory
+  plane it also caps chunks at one task, so a wedge kill never re-runs a
+  finished sibling's in-place writes), and the unfinished chunks of a
+  failed endpoint are resubmitted.  A task can be resubmitted
+  at most ``net_max_retries`` times; exhausting that budget, losing every
+  endpoint, or exceeding the drain deadline raises
   :class:`~repro.common.exceptions.NetworkDrainError` instead of hanging.
   Resubmission is safe by construction: a dispatched task's input bytes
   cannot change until its own completion (dependence exclusivity), and
   writes are only applied from the first accepted result — messages from
   failed endpoints are dropped.
 * **ATM deltas are best-effort.**  Live endpoints merge their engine deltas
-  at the drain barrier exactly like process workers; a dead endpoint's
-  unmerged delta is lost (reuse statistics, never correctness — its
-  unacknowledged tasks were re-run elsewhere).  Every loss is surfaced on
-  ``RunResult.lost_deltas`` and warned about, never silent.
+  at the drain barrier; a dead endpoint's unmerged delta is lost (reuse
+  statistics, never correctness — its unacknowledged tasks were re-run
+  elsewhere).  Every loss is surfaced on ``RunResult.lost_deltas`` and
+  warned about, never silent.
 """
 
 from __future__ import annotations
@@ -68,12 +82,13 @@ from repro.common.exceptions import (
 from repro.runtime.atm_protocol import ATMAction, ATMDecision
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.mp_executor import _TaskTypeSpec, make_engine_spec
 from repro.runtime.supervision import POLL_INTERVAL, dump_stacks
 from repro.runtime.net_transport import (
     SocketEndpoint,
+    SubprocessEndpoint,
     TRANSPORT_ERROR,
     parse_endpoints,
+    start_context,
 )
 from repro.runtime.net_wire import (
     ChunkEncoder,
@@ -81,20 +96,30 @@ from repro.runtime.net_wire import (
     NetChunk,
     NetTaskDescriptor,
     PROTOCOL_VERSION,
+    TaskTypeSpec,
     encode_frame,
+    make_engine_spec,
+    map_arrays,
     span_bytes,
 )
 from repro.runtime.data import _base_buffer, region_versions
 from repro.runtime.residency import ResidencyTable
+from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable
 from repro.runtime.task import Task, TaskState
 
-__all__ = ["NetworkExecutor"]
+__all__ = ["NetworkExecutor", "TIMEOUT_GRACE"]
+
+#: Dispatch/queue latency allowance added to the per-chunk task budget
+#: before an endpoint is declared wedged (``task_timeout_s`` supervision).
+TIMEOUT_GRACE = 0.25
 
 
 class _ChunkState:
     """Parent-side record of one dispatched, not-yet-completed chunk."""
 
-    __slots__ = ("chunk_id", "tasks", "endpoint", "sent_at", "dispatch_gens")
+    __slots__ = (
+        "chunk_id", "tasks", "endpoint", "sent_at", "started_at", "dispatch_gens",
+    )
 
     def __init__(
         self,
@@ -107,6 +132,9 @@ class _ChunkState:
         self.tasks = tasks
         self.endpoint = endpoint
         self.sent_at = time.perf_counter()
+        #: When the worker acked the chunk, i.e. started running it; the
+        #: chunk's ``task_timeout_s`` budget is measured from here.
+        self.started_at: Optional[float] = None
         #: ``buffer_id -> residency generation`` at dispatch time; the
         #: write-commit path upgrades the writer's residency entry only if
         #: its generation is still the one this chunk was encoded against
@@ -129,17 +157,25 @@ class _EndpointState:
         self.work_since_sync = False
 
 
-def _close_endpoints(endpoints: list) -> None:
-    """Idempotent teardown shared by close() and the GC finalizer."""
+def _release(endpoints: list, shared: Optional[SharedBufferRegistry]) -> None:
+    """Idempotent teardown shared by close() and the GC finalizer.
+
+    Every endpoint is told to shut down before any is waited for, so the
+    workers exit in parallel; the shared segments go last.
+    """
     for endpoint in endpoints:
         try:
             endpoint.send(("shutdown",))
         except Exception:
             pass
+    for endpoint in endpoints:
         try:
             endpoint.close()
         except Exception:  # pragma: no cover - defensive
             pass
+    if shared is not None:
+        shared.close()
+        shared.version_table.close()
 
 
 class NetworkExecutor(BaseExecutor):
@@ -148,6 +184,8 @@ class NetworkExecutor(BaseExecutor):
     #: Bound on the ATM-key -> endpoint affinity routes kept for twin
     #: placement (LRU); a placement hint only, never correctness.
     MAX_KEY_ROUTES = 4096
+    #: Slots in the shared write-version table (one per owning base buffer).
+    VERSION_TABLE_CAPACITY = 8192
 
     def __init__(
         self,
@@ -162,20 +200,39 @@ class NetworkExecutor(BaseExecutor):
                 "remote workers where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
+        # Fails early on an engine that cannot be replicated into workers.
+        make_engine_spec(engine)
         self.chunk_size = self.config.mp_chunk_size
         self.timeout = self.config.net_timeout_s
         self.max_retries = self.config.net_max_retries
-        #: Dispatch/queue latency allowance added to the per-chunk task
-        #: budget before an endpoint is declared wedged (``task_timeout_s``
-        #: supervision); ``RuntimeConfig.net_timeout_grace_s``.
-        self.timeout_grace = self.config.net_timeout_grace_s
         #: Per-drain wall-clock bound, from ``RuntimeConfig.drain_timeout_s``;
         #: instances may override it (the fault tests bound every scenario).
         self.drain_timeout = self.config.drain_timeout_s
         self._current_graph: Optional[TaskDependenceGraph] = None
+        #: The shared-memory plane of a subprocess pool (``None`` = bytes).
+        self._shared: Optional[SharedBufferRegistry] = None
+        #: Slots of the shared buffers this drain's tasks write.
+        self._written_slots: set[int] = set()
         if endpoints is None:
             workers = self.config.mp_workers or self.config.num_threads
-            endpoints = parse_endpoints(self.config.net_endpoints, workers)
+            if self.config.executor == "process":
+                context = start_context(self.config.mp_start_method)
+                table = SharedVersionTable(
+                    capacity=self.VERSION_TABLE_CAPACITY, context=context
+                )
+                self._shared = SharedBufferRegistry(table)
+                endpoints = [
+                    SubprocessEndpoint(f"process/{i}", context, table)
+                    for i in range(workers)
+                ]
+                if self.config.task_timeout_s is not None:
+                    # Workers write the segments in place and answer a chunk
+                    # only at its end, so a wedge kill cannot tell finished
+                    # siblings from the overrunning task: re-running them
+                    # would apply their writes twice.  One task per chunk.
+                    self.chunk_size = 1
+            else:
+                endpoints = parse_endpoints(self.config.net_endpoints, workers)
         self._endpoints: list[SocketEndpoint] = list(endpoints)
         self._inbox: queue_module.Queue = queue_module.Queue()
         self._ep_state: dict[SocketEndpoint, _EndpointState] = {}
@@ -193,7 +250,7 @@ class NetworkExecutor(BaseExecutor):
         #: ships its full union spans and placement is pure round-robin).
         self._residency: Optional[ResidencyTable] = (
             ResidencyTable(self.config.net_residency_budget_bytes)
-            if self.config.net_residency
+            if self.config.net_residency and self._shared is None
             else None
         )
         #: ATM-key -> endpoint affinity (LRU-bounded): same-key twins that
@@ -210,13 +267,15 @@ class NetworkExecutor(BaseExecutor):
             "payload_bytes": 0,
             "failed_endpoints": self._failures,
             "lost_deltas": 0,
+            "respawns": 0,
             "chunks_by_endpoint": self._chunks_by_endpoint,
         }
         if self._residency is not None:
             # Aliases the table's live counters, like failed_endpoints.
             self._stats["residency"] = self._residency.stats
+        self._hello: Optional[tuple] = None
         self._finalizer: Optional[weakref.finalize] = weakref.finalize(
-            self, _close_endpoints, self._endpoints
+            self, _release, self._endpoints, self._shared
         )
 
     # -- pool management ---------------------------------------------------------
@@ -233,28 +292,37 @@ class NetworkExecutor(BaseExecutor):
         # Session assigns its assembled engine to a pre-built engine-less
         # executor *after* __init__, and a spec snapshotted there would
         # silently run the workers without ATM.
-        engine_spec = make_engine_spec(self.engine)
-        hello = (
+        self._hello = (
             "hello",
             {
                 "protocol": PROTOCOL_VERSION,
-                "engine": engine_spec,
+                "engine": make_engine_spec(self.engine),
                 "residency": self._residency is not None,
             },
         )
         for endpoint in self._endpoints:
-            try:
-                endpoint.start(self._inbox)
-                endpoint.send(hello)
-            except NetworkTransportError as exc:
-                self._record_failure(endpoint, str(exc))
-                continue
-            self._ep_state[endpoint] = _EndpointState()
+            self._connect(endpoint)
         if not self._live_endpoints():
             raise NetworkDrainError(
                 "no network endpoint could be reached: "
                 + "; ".join(self._failures)
             )
+
+    def _connect(self, endpoint: SocketEndpoint) -> None:
+        try:
+            endpoint.start(self._inbox)
+            endpoint.send(self._hello)
+        except NetworkTransportError as exc:
+            self._record_failure(endpoint, str(exc))
+            return
+        self._ep_state[endpoint] = _EndpointState()
+
+    def _respawn(self, endpoint: SubprocessEndpoint) -> None:
+        """Replace a failed subprocess endpoint in place with a fresh child."""
+        fresh = endpoint.respawn()
+        self._endpoints[self._endpoints.index(endpoint)] = fresh
+        self._stats["respawns"] += 1
+        self._connect(fresh)
 
     def _record_failure(self, endpoint: SocketEndpoint, reason: str) -> None:
         endpoint.failed = True
@@ -264,7 +332,9 @@ class NetworkExecutor(BaseExecutor):
         # the report into the reason — it names the actual cause.
         report = endpoint.last_worker_error
         if report is None:
-            time.sleep(0.05)  # give the receiver thread one beat to read it
+            # Give the receiver thread one beat to read it; a receiver that
+            # already hit end-of-stream has read everything and returns at once.
+            endpoint.settle(0.05)
             report = endpoint.last_worker_error
         if report is not None:
             reason = f"{reason} (worker reported: {report})"
@@ -289,24 +359,24 @@ class NetworkExecutor(BaseExecutor):
         self.close()
 
     # -- task encoding -----------------------------------------------------------
-    def _describe_task(self, task: Task, encoder: ChunkEncoder) -> NetTaskDescriptor:
+    def _describe_task(self, task: Task, ref) -> NetTaskDescriptor:
+        """Descriptor of ``task`` with every array replaced by ``ref(array)``."""
         accesses = tuple(
-            (
-                encoder.ref(access.region.array, access.region),
-                access.mode.value,
-                access.region.name,
-            )
+            (ref(access.region.array, access.region), access.mode.value, access.region.name)
             for access in task.accesses
         )
         return NetTaskDescriptor(
             task_id=task.task_id,
             creation_index=task.creation_index,
-            type_spec=_TaskTypeSpec.of(task.task_type),
+            type_spec=TaskTypeSpec.of(task.task_type),
             function=task.function,
             accesses=accesses,
-            args=encoder.encode_payload(task.args),
-            kwargs=encoder.encode_payload(task.kwargs),
+            args=map_arrays(task.args, np.ndarray, ref),
+            kwargs=map_arrays(task.kwargs, np.ndarray, ref),
         )
+
+    def _shared_ref(self, array: np.ndarray, region=None):
+        return self._shared.array_ref(array)
 
     def _encode_chunk(
         self, tasks: list[Task], endpoint: SocketEndpoint
@@ -319,43 +389,56 @@ class NetworkExecutor(BaseExecutor):
         ``(buffer_id, generation)`` pairs to forward as an ``invalidate``.
 
         Framing happens synchronously (not in the receiver/sender machinery)
-        for the same reason the process backend pickles synchronously: an
-        unpicklable task function must raise with the offending tasks named,
-        not wedge the drain.  With residency on, each touched buffer ships
-        either its full union span (stale or unknown on this endpoint) or a
-        ``data=None`` cached reference (current) — the stale-bytes dispatch.
+        so that an unpicklable task function raises with the offending tasks
+        named instead of wedging the drain.  On the shared-memory plane no
+        buffers ship at all.
         """
-        encoder = ChunkEncoder()
-        descriptors = tuple(self._describe_task(task, encoder) for task in tasks)
         self._chunk_counter += 1
         dispatch_gens: dict[int, int] = {}
         evicted: list[tuple[int, int]] = []
-        residency = self._residency
-        if residency is None:
-            buffers = encoder.buffers()
+        if self._shared is not None:
+            descriptors = tuple(
+                self._describe_task(task, self._shared_ref) for task in tasks
+            )
+            for task, desc in zip(tasks, descriptors):
+                for access, (ref, _mode, _name) in zip(task.accesses, desc.accesses):
+                    if access.writes:
+                        self._written_slots.add(ref.slot)
+            buffers: tuple[NetBuffer, ...] = ()
         else:
-            protect_tick = residency.next_tick()
-            encoded: list[NetBuffer] = []
-            for buffer_id, (base, start, end) in encoder.spans().items():
-                version = region_versions.version_of(base)
-                entry = residency.lookup(endpoint, buffer_id, start, end, version)
-                if entry is not None:
-                    encoded.append(
-                        NetBuffer(buffer_id, entry.start, None, entry.generation)
-                    )
-                    dispatch_gens[buffer_id] = entry.generation
-                else:
-                    generation = residency.record(
-                        endpoint, buffer_id, start, end, version
-                    )
-                    encoded.append(
-                        NetBuffer(
-                            buffer_id, start, span_bytes(base, start, end), generation
+            encoder = ChunkEncoder()
+            descriptors = tuple(
+                self._describe_task(task, encoder.ref) for task in tasks
+            )
+            residency = self._residency
+            if residency is None:
+                buffers = encoder.buffers()
+            else:
+                # Stale-bytes dispatch: each touched buffer ships either its
+                # full union span (stale or unknown on this endpoint) or a
+                # ``data=None`` cached reference (current).
+                protect_tick = residency.next_tick()
+                encoded: list[NetBuffer] = []
+                for buffer_id, (base, start, end) in encoder.spans().items():
+                    version = region_versions.version_of(base)
+                    entry = residency.lookup(endpoint, buffer_id, start, end, version)
+                    if entry is not None:
+                        encoded.append(
+                            NetBuffer(buffer_id, entry.start, None, entry.generation)
                         )
-                    )
-                    dispatch_gens[buffer_id] = generation
-            evicted = residency.evict_over_budget(endpoint, protect_tick)
-            buffers = tuple(encoded)
+                        dispatch_gens[buffer_id] = entry.generation
+                    else:
+                        generation = residency.record(
+                            endpoint, buffer_id, start, end, version
+                        )
+                        encoded.append(
+                            NetBuffer(
+                                buffer_id, start, span_bytes(base, start, end), generation
+                            )
+                        )
+                        dispatch_gens[buffer_id] = generation
+                evicted = residency.evict_over_budget(endpoint, protect_tick)
+                buffers = tuple(encoded)
         chunk = NetChunk(
             chunk_id=self._chunk_counter,
             buffers=buffers,
@@ -364,14 +447,15 @@ class NetworkExecutor(BaseExecutor):
         try:
             raw = encode_frame(("chunk", chunk))
         except Exception as exc:
-            if residency is not None:
+            if self._residency is not None:
                 # The recorded entries describe bytes that never shipped.
-                residency.drop_endpoint(endpoint)
+                self._residency.drop_endpoint(endpoint)
             labels = ", ".join(f"{t.task_type.name}#{t.task_id}" for t in tasks)
             raise RuntimeStateError(
-                f"cannot serialize task(s) [{labels}] for the network "
-                f"backend: {exc}; task functions and plain arguments must "
-                "be picklable (module-level functions, no lambdas/closures)"
+                f"cannot serialize task(s) [{labels}] for the "
+                f"{self.config.executor} backend: {exc}; task functions and "
+                "plain arguments must be picklable (module-level functions, "
+                "no lambdas/closures)"
             ) from exc
         return chunk, raw, dispatch_gens, evicted
 
@@ -597,6 +681,8 @@ class NetworkExecutor(BaseExecutor):
             for key in [k for k, ep in self._key_routes.items() if ep is endpoint]:
                 del self._key_routes[key]
         state = self._ep_state.pop(endpoint, None)
+        if isinstance(endpoint, SubprocessEndpoint):
+            self._respawn(endpoint)
         if state is None:
             return
         if self.engine is not None and state.work_since_sync:
@@ -611,28 +697,40 @@ class NetworkExecutor(BaseExecutor):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        orphans: list[tuple[Task, bool]] = []
-        for chunk_id, chunk_state in state.outstanding.items():
-            timed_out = chunk_id == timeout_chunk
-            for task in chunk_state.tasks:
-                if task.task_id in self._inflight:
-                    orphans.append((task, timed_out))
-        if not orphans:
-            return
+        # A worker runs one chunk at a time, so only one can have caused the
+        # loss: the timed-out chunk, else the outstanding one it acked (acks
+        # precede execution, finished chunks leave ``outstanding``), else
+        # the oldest outstanding one.  Only its tasks are charged against
+        # the resubmission budget; the others were queued.
+        charged = timeout_chunk
+        if charged is None:
+            started = [
+                c for c in state.outstanding.values() if c.started_at is not None
+            ]
+            if started:
+                charged = max(started, key=lambda c: c.started_at).chunk_id
+            else:
+                charged = min(state.outstanding, default=None)
         survivors: list[Task] = []
-        for task, timed_out in orphans:
-            count = self._retries.get(task.task_id, 0) + 1
-            self._retries[task.task_id] = count
-            if count <= self.max_retries:
-                survivors.append(task)
-                continue
-            self._task_terminal(
-                task,
-                TaskTimeoutError if timed_out else WorkerLostError,
-                f"exceeded net_max_retries={self.max_retries} after endpoint "
-                "failures: " + "; ".join(self._failures),
-                endpoint.name,
-            )
+        for chunk_id, chunk_state in state.outstanding.items():
+            for task in chunk_state.tasks:
+                if task.task_id not in self._inflight:
+                    continue
+                if chunk_id != charged:
+                    survivors.append(task)
+                    continue
+                count = self._retries.get(task.task_id, 0) + 1
+                self._retries[task.task_id] = count
+                if count <= self.max_retries:
+                    survivors.append(task)
+                    continue
+                self._task_terminal(
+                    task,
+                    TaskTimeoutError if chunk_id == timeout_chunk else WorkerLostError,
+                    f"exceeded net_max_retries={self.max_retries} after endpoint "
+                    "failures: " + "; ".join(self._failures),
+                    endpoint.name,
+                )
         if survivors:
             self._stats["resubmitted_tasks"] += len(survivors)
             self._distribute(survivors)
@@ -647,6 +745,9 @@ class NetworkExecutor(BaseExecutor):
         self._ensure_started()
         self._fresh_supervisor()
         self._current_graph = graph
+        if self._shared is not None:
+            self._written_slots.clear()
+            self._shared.copy_in()
         t0 = time.perf_counter()
         deadline = t0 + self.drain_timeout
         try:
@@ -664,6 +765,8 @@ class NetworkExecutor(BaseExecutor):
         finally:
             self._current_graph = None
         elapsed = time.perf_counter() - t0
+        if self._shared is not None:
+            self._shared.copy_out(self._written_slots)
         if self.engine is not None:
             self._sync_engines(deadline)
         self._result.elapsed += elapsed
@@ -684,7 +787,7 @@ class NetworkExecutor(BaseExecutor):
             return  # stale traffic from an endpoint already declared dead
         kind = message[0]
         if kind == TRANSPORT_ERROR:
-            self._fail_endpoint(endpoint, message[1])
+            self._fail_endpoint(endpoint, endpoint.loss_reason(message[1]))
             return
         state = self._ep_state.get(endpoint)
         if state is None:  # pragma: no cover - defensive
@@ -693,8 +796,11 @@ class NetworkExecutor(BaseExecutor):
         if kind == "ack":
             # Acks feed the silence clock (already refreshed above): the
             # worker acks each chunk *before* executing it, so receipt
-            # liveness is proven independently of task runtime.
-            pass
+            # liveness is proven independently of task runtime, and the
+            # chunk's task budget starts now rather than while it queued.
+            chunk_state = state.outstanding.get(message[1])
+            if chunk_state is not None:
+                chunk_state.started_at = state.last_heard
         elif kind == "result":
             _, chunk_id, results = message
             chunk_state = state.outstanding.pop(chunk_id, None)
@@ -850,15 +956,16 @@ class NetworkExecutor(BaseExecutor):
             if state is None or not state.outstanding:
                 continue
             if task_budget is not None:
-                # Wedge supervision: a chunk that has been out longer than
-                # its tasks' combined budget means a task is stuck inside the
-                # worker (which still heartbeats).  Fail the endpoint with
+                # Wedge supervision: a chunk running longer than its tasks'
+                # combined budget means a task is stuck inside the worker.  Fail the endpoint with
                 # the chunk tagged so exhausted tasks surface as timeouts.
                 for chunk_state in list(state.outstanding.values()):
-                    age = now - chunk_state.sent_at
+                    if chunk_state.started_at is None:
+                        continue
+                    age = now - chunk_state.started_at
                     budget = (
                         task_budget * max(1, len(chunk_state.tasks))
-                        + self.timeout_grace
+                        + TIMEOUT_GRACE
                     )
                     if age > budget:
                         self._fail_endpoint(
@@ -871,6 +978,8 @@ class NetworkExecutor(BaseExecutor):
                         break
                 if endpoint.failed:
                     continue
+            if not endpoint.heartbeat:
+                continue
             silent_for = now - state.last_heard
             if silent_for > self.timeout:
                 self._fail_endpoint(

@@ -1,17 +1,22 @@
-"""Endpoints and the worker service loop of the network backend.
+"""Endpoints and the worker service loop of the remote-worker backend.
 
-Transport model (DESIGN.md §4.5): the :class:`NetworkExecutor` parent holds
+Transport model (DESIGN.md §4.3): the :class:`NetworkExecutor` parent holds
 one point-to-point connection per worker *endpoint*.  Each endpoint owns a
 socket plus a receiver thread that decodes frames
 (:mod:`repro.runtime.net_wire`) and posts ``(endpoint, message)`` pairs onto
 the executor's single inbox queue; sends happen inline under a per-endpoint
-lock.  Two concrete endpoints exist:
+lock.  Three concrete endpoints exist:
 
-* :class:`LoopbackEndpoint` — a ``socket.socketpair`` whose far end is
-  served by an in-process worker thread running the *same*
-  :func:`serve_connection` loop the TCP daemon runs.  The full stack —
-  framing, acks, heartbeats, resubmission — is exercised on one machine
-  with zero extra infrastructure; this is the default
+* :class:`SubprocessEndpoint` — a ``socket.socketpair`` whose far end is a
+  child process running :func:`serve_connection`.  Its chunks travel on the
+  shared-memory data plane (:mod:`repro.runtime.shm`): array references
+  instead of bytes, and a dead or wedged child is respawned in place.  This
+  is ``executor="process"``.
+* :class:`LoopbackEndpoint` — a socketpair served by an in-process worker
+  thread running the *same* :func:`serve_connection` loop the TCP daemon
+  runs.  The full byte-plane stack — framing, acks, heartbeats,
+  resubmission — is exercised on one machine with zero extra
+  infrastructure; this is the default of ``executor="network"``
   (``RuntimeConfig.net_endpoints = "loopback"``) and what the parity and
   fault suites drive.
 * :class:`TcpEndpoint` — connects to a ``scripts/net_worker.py`` daemon at
@@ -27,12 +32,13 @@ heartbeat, kill the worker mid-chunk or corrupt the stream.
 
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
 deliberately transport-agnostic: it reads frames from any socket, so the
-loopback thread and the standalone TCP daemon share every line of protocol
-logic.
+subprocess, the loopback thread and the standalone TCP daemon share every
+line of protocol logic.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import socket
 import threading
@@ -47,21 +53,23 @@ from repro.common.exceptions import (
 )
 from repro.runtime.atm_protocol import EXECUTE_DECISION
 from repro.runtime.data import AccessMode, DataAccess
-from repro.runtime.mp_executor import _build_worker_engine
 from repro.runtime.net_wire import (
     ChunkArena,
     NetChunk,
     PROTOCOL_VERSION,
+    build_worker_engine,
     encode_frame,
     read_frame,
     write_frame,
 )
 from repro.runtime.residency import WorkerBufferCache
+from repro.runtime.shm import SharedVersionTable, WorkerSegments
 from repro.runtime.task import Task, TaskState, TaskType
 
 __all__ = [
     "TRANSPORT_ERROR",
     "SocketEndpoint",
+    "SubprocessEndpoint",
     "LoopbackEndpoint",
     "TcpEndpoint",
     "NetWorkerState",
@@ -76,6 +84,10 @@ TRANSPORT_ERROR = "__transport_error__"
 # -- parent-side endpoints ------------------------------------------------------------
 class SocketEndpoint:
     """One connection from the executor to a worker, with a receiver thread."""
+
+    #: Whether the executor declares this endpoint dead after
+    #: ``net_timeout_s`` of silence with work outstanding.
+    heartbeat = True
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -137,6 +149,16 @@ class SocketEndpoint:
         """
         self._post(message)
 
+    def loss_reason(self, error: str) -> str:
+        """Failure reason for a broken connection (``error`` from the receiver)."""
+        return error
+
+    def settle(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for the receiver to finish reading the stream."""
+        receiver = self._receiver
+        if receiver is not None and receiver is not threading.current_thread():
+            receiver.join(timeout)
+
     # -- outbound ---------------------------------------------------------------
     def send(self, message: Any) -> None:
         """Frame and send one message; raises on a broken connection."""
@@ -192,6 +214,98 @@ class SocketEndpoint:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "failed" if self.failed else ("closed" if self._closed else "live")
         return f"{type(self).__name__}({self.name!r}, {state})"
+
+
+def start_context(method: Optional[str]):
+    """``multiprocessing`` context for worker processes.
+
+    ``None`` picks ``"fork"`` where available (fast start, inherits imported
+    plugin modules), else ``"spawn"``.
+    """
+    if method is None:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    return multiprocessing.get_context(method)
+
+
+def _subprocess_main(sock: socket.socket, version_name: str, capacity: int, lock) -> None:
+    """Entry point of a :class:`SubprocessEndpoint` worker process."""
+    segments = WorkerSegments(SharedVersionTable.attach(version_name, capacity, lock))
+    try:
+        serve_connection(sock, segments=segments)
+    finally:
+        segments.close()
+        segments.version_table.close()
+
+
+class SubprocessEndpoint(SocketEndpoint):
+    """A worker process serving the far end of a socketpair.
+
+    The child runs :func:`serve_connection` over shared memory:
+    ``version_table`` holds the cross-process write-versions of the
+    executor's :class:`~repro.runtime.shm.SharedBufferRegistry`, chunks
+    carry segment references instead of bytes, and results carry no write
+    bytes.  A child that dies or wedges is replaced through
+    :meth:`respawn`.
+    """
+
+    #: A dead child closes its socket, which the receiver sees at once; a
+    #: silent child is busy in a task body, not lost.
+    heartbeat = False
+    #: Seconds a child may take to exit after shutdown before it is killed.
+    JOIN_TIMEOUT = 5.0
+
+    def __init__(self, name: str, context, version_table: SharedVersionTable) -> None:
+        super().__init__(name)
+        self.context = context
+        self.version_table = version_table
+        self.process = None
+
+    def connect(self) -> socket.socket:
+        table = self.version_table
+        parent_sock, worker_sock = socket.socketpair()
+        try:
+            self.process = self.context.Process(
+                target=_subprocess_main,
+                args=(worker_sock, table.name, table.capacity, table.lock),
+                daemon=True,
+                name=f"repro-worker-{self.name}",
+            )
+            self.process.start()
+        except Exception:
+            parent_sock.close()
+            raise
+        finally:
+            worker_sock.close()
+        return parent_sock
+
+    def respawn(self) -> "SubprocessEndpoint":
+        """A fresh, unconnected endpoint with this one's name and plane."""
+        return SubprocessEndpoint(self.name, self.context, self.version_table)
+
+    def loss_reason(self, error: str) -> str:
+        process = self.process
+        if process is not None:
+            process.join(timeout=1.0)  # EOF: the child is exiting
+            if process.exitcode is not None:
+                return f"worker process died (exitcode {process.exitcode}): {error}"
+        return error
+
+    def close(self, wait: bool = True) -> None:
+        """Close the socket and reap the child.
+
+        ``wait=False`` is the failure path: the child is dead or wedged, so
+        it is killed at once instead of given time to exit.
+        """
+        super().close(wait=wait)
+        process = self.process
+        if process is None:
+            return
+        if wait:
+            process.join(timeout=self.JOIN_TIMEOUT)
+        if process.is_alive():
+            process.kill()
+        process.join(timeout=self.JOIN_TIMEOUT)
+        self.process = None
 
 
 class LoopbackEndpoint(SocketEndpoint):
@@ -295,13 +409,18 @@ def parse_endpoints(spec: str, default_workers: int) -> list[SocketEndpoint]:
 class NetWorkerState:
     """Per-connection worker state: the ATM engine replica + type cache."""
 
-    def __init__(self, worker_id: int = 0) -> None:
+    def __init__(
+        self, worker_id: int = 0, segments: Optional[WorkerSegments] = None
+    ) -> None:
         self.worker_id = worker_id
         self.engine = None
         self.task_types: dict[str, TaskType] = {}
         #: Residency store for shipped backings; created at hello time when
         #: the client runs the residency protocol (``None`` = ship-always).
         self.buffer_cache: Optional[WorkerBufferCache] = None
+        #: Attached shared segments of a subprocess worker (``None`` = the
+        #: byte plane: written regions travel home as bytes).
+        self.segments = segments
 
     # -- handshake ---------------------------------------------------------------
     def hello(self, info: dict) -> dict:
@@ -311,7 +430,7 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        self.engine = _build_worker_engine(info.get("engine"))
+        self.engine = build_worker_engine(info.get("engine"))
         self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
@@ -322,7 +441,9 @@ class NetWorkerState:
         ``error`` is ``(task_id, traceback_str)`` when a task body raised —
         the rest of the chunk is dropped, mirroring the process backend.
         """
-        arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
+        arena = ChunkArena(
+            chunk.buffers, cache=self.buffer_cache, segments=self.segments
+        )
         results: list[tuple] = []
         for desc in chunk.tasks:
             try:
@@ -368,6 +489,10 @@ class NetWorkerState:
                     access.region.bump_version()
         if decision.atm_handled and engine is not None:
             engine.task_finished(task, decision, executed, self.worker_id)
+        if self.segments is not None:
+            # The writes (and the SKIP path's copy_from) landed in shared
+            # segments; the parent copies them back at the end of the drain.
+            return (desc.task_id, decision.action.value, executed, ())
         # Ship back the raw bytes of every written region: the parent has no
         # shared memory to read them from (the SKIP path's copy_from wrote
         # the worker-local arrays, so it is covered identically).
@@ -386,15 +511,20 @@ class NetWorkerState:
         return self.engine.snapshot(reset=True)
 
 
-def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
+def serve_connection(
+    sock: socket.socket,
+    worker_id: int = 0,
+    segments: Optional[WorkerSegments] = None,
+) -> None:
     """Serve one executor connection until shutdown or a dead transport.
 
-    The single worker loop shared by loopback threads and the TCP daemon.
+    The single worker loop shared by subprocesses (which pass their
+    attached shared ``segments``), loopback threads and the TCP daemon.
     Task exceptions are reported as ``("error", ...)`` frames — the worker
     survives and the parent decides (it raises; a *transport* fault, by
     contrast, kills the connection and triggers resubmission).
     """
-    state = NetWorkerState(worker_id=worker_id)
+    state = NetWorkerState(worker_id=worker_id, segments=segments)
     try:
         while True:
             message = read_frame(sock)

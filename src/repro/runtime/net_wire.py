@@ -1,8 +1,8 @@
-"""Wire format of the network execution backend (DESIGN.md §4.5).
+"""Wire format of the remote-worker execution backend (DESIGN.md §4.3).
 
-The network backend speaks the same descriptor + ATM delta-merge protocol as
-the process backend, but no shared memory spans hosts, so every array payload
-travels **as bytes**.  This module defines the two halves of that story:
+:class:`~repro.runtime.net_executor.NetworkExecutor` ships task chunks to
+workers that rebuild and run them against per-worker ATM engine replicas.
+This module defines the three parts of that story:
 
 * **Framing** — every message is one length-prefixed frame::
 
@@ -14,17 +14,30 @@ travels **as bytes**.  This module defines the two halves of that story:
   :class:`~repro.common.exceptions.WireProtocolError` — the receiving side
   treats the peer as failed instead of interpreting garbage.
 
-* **Array/task encoding** — a :class:`ChunkEncoder` (sender side) walks the
-  arrays referenced by a chunk of tasks, computes per owning base buffer the
-  union byte span the chunk touches, and ships one :class:`NetBuffer` of raw
-  bytes per base plus :class:`NetArrayRef` handles (offset/shape/strides/
-  dtype) for every view.  A :class:`ChunkArena` (receiver side) materialises
-  each buffer as one writable ``bytearray`` and rebuilds byte-exact NumPy
-  views over it, preserving aliasing between views of the same base — the
-  no-shared-memory analogue of :class:`~repro.runtime.shm.WorkerArena`.
+* **Array/task encoding** — array payloads travel in one of two reference
+  forms, chosen by the kind of endpoint a chunk is bound for:
+
+  - *bytes* (loopback and TCP endpoints): a :class:`ChunkEncoder` walks the
+    arrays referenced by a chunk, computes per owning base buffer the union
+    byte span the chunk touches, and ships one :class:`NetBuffer` of raw
+    bytes per base plus :class:`NetArrayRef` handles (offset/shape/strides/
+    dtype) for every view;
+  - *shared memory* (subprocess endpoints on the same host): every view is
+    an :class:`~repro.runtime.data.ArrayRef` into a
+    :mod:`repro.runtime.shm` segment mirroring its owning base buffer, and
+    no bytes are shipped at all.
+
+  A :class:`ChunkArena` (receiver side) resolves both forms into byte-exact
+  NumPy views, preserving aliasing between views of the same base.
+
+* **Task and engine recipes** — :class:`TaskTypeSpec`,
+  :class:`NetTaskDescriptor` and :func:`make_engine_spec` /
+  :func:`build_worker_engine`, the picklable descriptions a worker rebuilds
+  tasks and its ATM engine replica from.
 
 Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
-a loopback thread or a ``scripts/net_worker.py`` daemon)::
+a loopback thread, a forked subprocess or a ``scripts/net_worker.py``
+daemon)::
 
     client -> worker : ("hello", info)           handshake; carries the engine spec
                                                  and the residency flag
@@ -43,8 +56,9 @@ a loopback thread or a ``scripts/net_worker.py`` daemon)::
 
 Each entry of ``results`` is ``(task_id, action_value, executed, writes)``
 where ``writes`` is a list of ``(access_index, bytes)`` pairs holding the
-raw little bytes of every written region — the copy-back path that replaces
-the process backend's shared-segment ``copy_out``.
+raw bytes of every written region of a byte-form chunk.  Shared-memory
+chunks report no writes: the worker wrote the segments in place and the
+parent copies written buffers back once, at the end of the drain.
 
 Since protocol version 2 a :class:`NetBuffer` has a second, *cached* form
 (``data is None``): the span is not on the wire, the worker must already
@@ -68,17 +82,23 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
-from repro.runtime.data import DataRegion, _base_buffer
+from repro.runtime.data import ArrayRef, DataRegion, SharedDataRegion, _base_buffer
+from repro.runtime.task import TaskType
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "NetArrayRef",
     "NetBuffer",
+    "TaskTypeSpec",
+    "EngineSpec",
+    "make_engine_spec",
+    "build_worker_engine",
     "NetTaskDescriptor",
     "NetChunk",
     "ChunkEncoder",
     "ChunkArena",
+    "map_arrays",
     "span_bytes",
     "encode_frame",
     "decode_frame",
@@ -90,7 +110,8 @@ __all__ = [
 #: Bumped on any incompatible message/frame change; checked at hello time.
 #: Version 2: cached (``data=None``) :class:`NetBuffer` form, generation
 #: tags and the ``invalidate`` message of the residency protocol.
-PROTOCOL_VERSION = 2
+#: Version 3: task-type and engine recipes are pickled from this module.
+PROTOCOL_VERSION = 3
 
 MAGIC = b"ATMW"
 _HEADER = struct.Struct("!4sII")
@@ -235,31 +256,144 @@ class NetBuffer:
 
 
 @dataclass(frozen=True)
+class TaskTypeSpec:
+    """Reduced, picklable description of a :class:`TaskType`.
+
+    Cost models are deliberately dropped: they are only used by the
+    simulator, and applications routinely define them as (unpicklable)
+    lambdas.
+    """
+
+    name: str
+    memoizable: bool
+    tau_max: Optional[float]
+    l_training: Optional[int]
+    deterministic: bool
+
+    @classmethod
+    def of(cls, task_type: TaskType) -> "TaskTypeSpec":
+        return cls(
+            name=task_type.name,
+            memoizable=task_type.memoizable,
+            tau_max=task_type.tau_max,
+            l_training=task_type.l_training,
+            deterministic=task_type.deterministic,
+        )
+
+    def build(self) -> TaskType:
+        return TaskType(
+            name=self.name,
+            memoizable=self.memoizable,
+            tau_max=self.tau_max,
+            l_training=self.l_training,
+            deterministic=self.deterministic,
+        )
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """Recipe for a worker's ATM engine replica (policy state stays per worker)."""
+
+    mode: str
+    config: Any  # ATMConfig
+    p: Optional[float]
+
+
+def make_engine_spec(engine) -> Optional[EngineSpec]:
+    """Serializable recipe replicating ``engine`` into a remote worker.
+
+    Workers run engine replicas that merge back into ``engine`` through the
+    snapshot/merge delta protocol at every drain barrier.
+    """
+    if engine is None:
+        return None
+    policy = getattr(engine, "policy", None)
+    config = getattr(engine, "config", None)
+    if policy is None or config is None:
+        raise RuntimeStateError(
+            "worker-replicated backends require an ATMEngine-compatible "
+            "engine (with .policy and .config) or engine=None; custom "
+            "in-process engines cannot be replicated into workers"
+        )
+    # Policies built through the registry carry their registered name —
+    # the faithful recipe for plugin policies, whose class-level ``mode``
+    # attribute is whatever builtin they subclass.  Hand-assembled policy
+    # instances fall back to that class attribute.  Plugin policies
+    # require the plugin module to be imported (or the start method to be
+    # fork) wherever the worker runs.
+    mode = getattr(policy, "registry_name", None) or policy.mode.value
+    return EngineSpec(mode=mode, config=policy.config, p=policy.config.p)
+
+
+def build_worker_engine(spec: Optional[EngineSpec]):
+    """The worker-side engine replica described by ``spec`` (``None`` = no ATM).
+
+    Replicas run with the IKT disabled: a worker processes one task at a
+    time, so an in-flight twin can never exist inside it, and cross-worker
+    in-flight tracking would serialise every lookup — the THT delta merge at
+    the drain barrier recovers the sharing instead.
+    """
+    if spec is None:
+        return None
+    from repro.atm.engine import ATMEngine
+    from repro.atm.policy import make_policy
+
+    config = spec.config.with_overrides(use_ikt=False)
+    policy = make_policy(spec.mode, config, p=spec.p)
+    engine = ATMEngine(config=config, policy=policy, num_threads=1)
+    engine.enable_delta_snapshots()
+    return engine
+
+
+@dataclass(frozen=True)
 class NetTaskDescriptor:
     """Everything a remote worker needs to rebuild and run one task.
 
-    ``accesses`` entries are ``(NetArrayRef, mode_value, region_name)``;
-    ndarray leaves of ``args``/``kwargs`` are replaced by their
-    :class:`NetArrayRef`, so worker-side argument arrays alias the rebuilt
-    access regions exactly as they alias the parent arrays at home.
+    ``accesses`` entries are ``(ref, mode_value, region_name)`` where
+    ``ref`` is a :class:`NetArrayRef` or a shared-memory
+    :class:`~repro.runtime.data.ArrayRef`; ndarray leaves of
+    ``args``/``kwargs`` are replaced by the same kind of ref, so worker-side
+    argument arrays alias the rebuilt access regions exactly as they alias
+    the parent arrays at home.
     """
 
     task_id: int
     creation_index: int
-    type_spec: Any  # _TaskTypeSpec (repro.runtime.mp_executor)
+    type_spec: TaskTypeSpec
     function: Any
-    accesses: tuple[tuple[NetArrayRef, str, str], ...]
+    accesses: tuple[tuple[Any, str, str], ...]
     args: tuple
     kwargs: dict
 
 
 @dataclass(frozen=True)
 class NetChunk:
-    """One dispatch unit: buffer spans + the task descriptors using them."""
+    """One dispatch unit: buffer spans + the task descriptors using them.
+
+    ``buffers`` is empty for a shared-memory chunk.
+    """
 
     chunk_id: int
     buffers: tuple[NetBuffer, ...]
     tasks: tuple[NetTaskDescriptor, ...]
+
+
+def map_arrays(value: Any, leaf: type | tuple[type, ...], fn) -> Any:
+    """Apply ``fn`` to every ``leaf`` instance of a nested argument payload.
+
+    Walks tuples, lists and dict values; everything else passes through.
+    Used in both directions: arrays to refs when a task is encoded, refs to
+    arrays when it is rebuilt.
+    """
+    if isinstance(value, leaf):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(map_arrays(v, leaf, fn) for v in value)
+    if isinstance(value, list):
+        return [map_arrays(v, leaf, fn) for v in value]
+    if isinstance(value, dict):
+        return {k: map_arrays(v, leaf, fn) for k, v in value.items()}
+    return value
 
 
 class ChunkEncoder:
@@ -267,8 +401,9 @@ class ChunkEncoder:
 
     Tasks of one chunk are pairwise independent (they were ready
     simultaneously), so one buffer copy per base is consistent for the whole
-    chunk.  Call :meth:`ref` / :meth:`encode_payload` for every array, then
-    :meth:`buffers` once to materialise the union spans.
+    chunk.  Call :meth:`ref` for every array (:func:`map_arrays` walks
+    argument payloads), then :meth:`buffers` once to materialise the union
+    spans.
     """
 
     def __init__(self) -> None:
@@ -302,18 +437,6 @@ class ChunkEncoder:
             strides=tuple(array.strides),
             dtype=array.dtype.str,
         )
-
-    def encode_payload(self, value: Any) -> Any:
-        """Swap every ndarray in a (nested) argument payload for its ref."""
-        if isinstance(value, np.ndarray):
-            return self.ref(value)
-        if isinstance(value, tuple):
-            return tuple(self.encode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.encode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.encode_payload(v) for k, v in value.items()}
-        return value
 
     def spans(self) -> dict[int, tuple[np.ndarray, int, int]]:
         """Touched union spans as ``buffer_id -> (base, start, end)``.
@@ -353,10 +476,17 @@ def span_bytes(base: np.ndarray, start: int, end: int) -> bytes:
 class ChunkArena:
     """Receiver-side materialisation of one chunk's buffers and views.
 
-    Every :class:`NetBuffer` becomes one writable ``bytearray``-backed
-    ``uint8`` ndarray; views built over it share that object as their
-    ``.base``, preserving region identity (aliasing *and* the keygen-cache
-    keying) within the chunk.
+    Resolves both reference forms of :class:`NetTaskDescriptor`:
+
+    * :class:`NetArrayRef` — every :class:`NetBuffer` becomes one writable
+      ``bytearray``-backed ``uint8`` ndarray; views built over it share that
+      object as their ``.base``, preserving region identity (aliasing *and*
+      the keygen-cache keying) within the chunk;
+    * :class:`~repro.runtime.data.ArrayRef` — a view over a shared segment
+      attached through ``segments`` (:class:`~repro.runtime.shm.
+      WorkerSegments`), wrapped in a
+      :class:`~repro.runtime.data.SharedDataRegion` whose write-version
+      lives in the cross-process version table.
 
     A ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) makes
     the arena residency-aware: full ships are stored into it under their
@@ -367,8 +497,9 @@ class ChunkArena:
     """
 
     def __init__(
-        self, buffers: tuple[NetBuffer, ...], cache=None
+        self, buffers: tuple[NetBuffer, ...], cache=None, segments=None
     ) -> None:
+        self._segments = segments
         self._bases: dict[int, tuple[np.ndarray, int]] = {}
         for buf in buffers:
             if buf.data is None:
@@ -386,21 +517,28 @@ class ChunkArena:
             self._bases[buf.buffer_id] = (backing, buf.start)
             if cache is not None:
                 cache.put(buf.buffer_id, backing, buf.start, buf.generation)
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, DataRegion] = {}
+        self._views: dict[Any, np.ndarray] = {}
+        self._regions: dict[Any, DataRegion] = {}
 
-    def view(self, ref: NetArrayRef) -> np.ndarray:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
+    def view(self, ref) -> np.ndarray:
+        cached = self._views.get(ref)
         if cached is not None:
             return cached
-        entry = self._bases.get(ref.buffer_id)
-        if entry is None:
-            raise WireProtocolError(
-                f"chunk references buffer {ref.buffer_id:#x} that was not "
-                f"shipped with it"
-            )
-        backing, start = entry
+        if isinstance(ref, ArrayRef):
+            if self._segments is None:
+                raise WireProtocolError(
+                    f"chunk references shared segment {ref.shm_name!r} but "
+                    f"this worker has no shared-memory plane"
+                )
+            backing, start = self._segments.attach(ref), 0
+        else:
+            entry = self._bases.get(ref.buffer_id)
+            if entry is None:
+                raise WireProtocolError(
+                    f"chunk references buffer {ref.buffer_id:#x} that was not "
+                    f"shipped with it"
+                )
+            backing, start = entry
         try:
             array = np.ndarray(
                 ref.shape,
@@ -411,24 +549,23 @@ class ChunkArena:
             )
         except (ValueError, TypeError) as exc:
             raise WireProtocolError(f"cannot rebuild array view: {exc}") from exc
-        self._views[key] = array
+        self._views[ref] = array
         return array
 
     def decode_payload(self, value: Any) -> Any:
-        if isinstance(value, NetArrayRef):
-            return self.view(value)
-        if isinstance(value, tuple):
-            return tuple(self.decode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.decode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.decode_payload(v) for k, v in value.items()}
-        return value
+        return map_arrays(value, (NetArrayRef, ArrayRef), self.view)
 
-    def region(self, ref: NetArrayRef, name: str) -> DataRegion:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
+    def region(self, ref, name: str) -> DataRegion:
+        cached = self._regions.get(ref)
         if cached is None:
-            cached = DataRegion(self.view(ref), name=name)
-            self._regions[key] = cached
+            if isinstance(ref, ArrayRef):
+                cached = SharedDataRegion(
+                    self.view(ref),
+                    name=name,
+                    slot=ref.slot,
+                    version_table=self._segments.version_table,
+                )
+            else:
+                cached = DataRegion(self.view(ref), name=name)
+            self._regions[ref] = cached
         return cached

@@ -1,4 +1,4 @@
-"""Per-endpoint data residency for the network backend (DESIGN.md §4.5).
+"""Per-endpoint data residency for the network backend (DESIGN.md §4.3).
 
 The network backend has no shared memory, so before this module every chunk
 dispatch shipped the full union byte span of every buffer it touched — even

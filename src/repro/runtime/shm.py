@@ -1,9 +1,11 @@
-"""Cross-process shared-memory protocol for :class:`DataRegion` payloads.
+"""Shared-memory data plane of the subprocess endpoints.
 
-The process execution backend (:mod:`repro.runtime.mp_executor`) keeps the
-task dependence graph in the parent and runs task bodies in worker
-processes.  Application arrays therefore need one canonical cross-process
-home; this module provides it (see DESIGN.md §4.3):
+``executor="process"`` runs the remote-worker executor
+(:mod:`repro.runtime.net_executor`) over forked subprocess endpoints on the
+same host.  Task chunks bound for them carry
+:class:`~repro.runtime.data.ArrayRef` handles instead of bytes, so
+application arrays need one canonical cross-process home; this module
+provides it (see DESIGN.md §4.3):
 
 * :class:`SharedBufferRegistry` (parent side) — assigns every owning base
   buffer a *slot*, backs it with a ``multiprocessing.shared_memory`` segment
@@ -18,11 +20,9 @@ home; this module provides it (see DESIGN.md §4.3):
   worker-side ATM key generator keys its digest caches on these versions,
   exactly as the in-process :class:`~repro.runtime.data.RegionVersionRegistry`
   does for single-process runs.
-* :class:`WorkerArena` (worker side) — attaches segments lazily by name and
-  materialises :class:`~repro.runtime.data.ArrayRef` /
-  :class:`~repro.runtime.data.RegionDescriptor` records as NumPy views whose
-  common ndarray base preserves region identity (so per-region caches hit
-  across tasks within a worker).
+* :class:`WorkerSegments` (worker side) — attaches segments lazily by name
+  for the worker's lifetime; :class:`~repro.runtime.net_wire.ChunkArena`
+  builds region views over them.
 
 Attach/detach is name-based, so the protocol works under every
 multiprocessing start method (``fork``, ``spawn``, ``forkserver``).
@@ -37,9 +37,9 @@ from typing import Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError
-from repro.runtime.data import ArrayRef, RegionDescriptor, _base_buffer
+from repro.runtime.data import ArrayRef, _base_buffer
 
-__all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerArena"]
+__all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerSegments"]
 
 
 class SharedVersionTable:
@@ -138,7 +138,7 @@ class SharedBufferRegistry:
         if slot >= self.version_table.capacity:
             raise RuntimeStateError(
                 f"shared version table full ({self.version_table.capacity} slots); "
-                "raise the ProcessExecutor version-table capacity"
+                "raise NetworkExecutor.VERSION_TABLE_CAPACITY"
             )
         shm = shared_memory.SharedMemory(create=True, size=max(1, int(base.nbytes)))
         entry = _SharedBuffer(slot, base, shm)
@@ -219,63 +219,29 @@ class SharedBufferRegistry:
         self._by_id.clear()
 
 
-class WorkerArena:
-    """Worker-side lazy attachment of shared segments and region views."""
+class WorkerSegments:
+    """Worker-side lazy attachment of shared segments by name.
+
+    One flat ``uint8`` ndarray per segment: every view built over it shares
+    this object as its ``.base``, so region identity (the keygen caches'
+    key) holds across chunks for the worker's lifetime.
+    """
 
     def __init__(self, version_table: SharedVersionTable) -> None:
         self.version_table = version_table
         self._segments: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, "object"] = {}
 
-    def _base_array(self, shm_name: str, nbytes: int) -> np.ndarray:
-        cached = self._segments.get(shm_name)
+    def attach(self, ref: ArrayRef) -> np.ndarray:
+        """The flat byte view of the segment ``ref`` points into."""
+        cached = self._segments.get(ref.shm_name)
         if cached is not None:
             return cached[1]
-        shm = shared_memory.SharedMemory(name=shm_name)
-        # One flat uint8 ndarray per segment: every view built over it shares
-        # this object as its ``.base``, preserving region identity for the
-        # keygen caches.
-        base = np.ndarray((max(1, nbytes),), dtype=np.uint8, buffer=shm.buf)
-        self._segments[shm_name] = (shm, base)
+        shm = shared_memory.SharedMemory(name=ref.shm_name)
+        base = np.ndarray((max(1, ref.base_nbytes),), dtype=np.uint8, buffer=shm.buf)
+        self._segments[ref.shm_name] = (shm, base)
         return base
 
-    def view(self, ref: ArrayRef) -> np.ndarray:
-        key = (ref.shm_name, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
-        base = self._base_array(ref.shm_name, ref.base_nbytes)
-        array = np.ndarray(
-            ref.shape,
-            dtype=np.dtype(ref.dtype),
-            buffer=base,
-            offset=ref.offset,
-            strides=ref.strides,
-        )
-        self._views[key] = array
-        return array
-
-    def region(self, descriptor: RegionDescriptor):
-        from repro.runtime.data import SharedDataRegion
-
-        ref = descriptor.ref
-        key = (ref.shm_name, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
-        if cached is not None:
-            return cached
-        region = SharedDataRegion(
-            self.view(ref),
-            name=descriptor.name,
-            slot=ref.slot,
-            version_table=self.version_table,
-        )
-        self._regions[key] = region
-        return region
-
     def close(self) -> None:
-        self._views.clear()
-        self._regions.clear()
         for shm, _base in self._segments.values():
             try:
                 shm.close()

@@ -8,8 +8,9 @@ same thing everywhere:
 ``task_timeout_s``
     Per-task wall-clock budget.  In-process backends (serial/threaded)
     cannot preempt a running Python frame, so they detect the overrun
-    *post hoc* when the task returns; the process backend kills and
-    respawns the worker; the network backend ages in-flight chunks.
+    *post hoc* when the task returns; the remote-worker backend ages
+    in-flight chunks and kills (``process``, then respawns) or excludes
+    (``network``) the worker holding an overdue one.
 ``task_max_retries`` / ``retry_backoff_s``
     Bounded re-execution of a failed task with exponential backoff:
     attempt ``k`` (1-based) sleeps ``retry_backoff_s * 2**(k-1)`` before

@@ -30,11 +30,12 @@ from repro.common import exceptions as _exceptions
 from repro.common.exceptions import GatewayError, RuntimeStateError
 from repro.runtime.data import DataAccess, DataRegion, _base_buffer
 from repro.runtime.executor import RunResult
-from repro.runtime.mp_executor import _TaskTypeSpec
 from repro.runtime.net_wire import (
     NetArrayRef,
     NetBuffer,
     NetTaskDescriptor,
+    TaskTypeSpec,
+    map_arrays,
     read_frame,
     span_bytes,
     write_frame,
@@ -132,15 +133,7 @@ class GatewayClient:
         )
 
     def _encode_payload(self, value: Any, ship: list) -> Any:
-        if isinstance(value, np.ndarray):
-            return self._ref(value, ship)
-        if isinstance(value, tuple):
-            return tuple(self._encode_payload(v, ship) for v in value)
-        if isinstance(value, list):
-            return [self._encode_payload(v, ship) for v in value]
-        if isinstance(value, dict):
-            return {k: self._encode_payload(v, ship) for k, v in value.items()}
-        return value
+        return map_arrays(value, np.ndarray, lambda array: self._ref(array, ship))
 
     def _describe(
         self,
@@ -164,7 +157,7 @@ class GatewayClient:
         return NetTaskDescriptor(
             task_id=task_id,
             creation_index=task_id,
-            type_spec=_TaskTypeSpec.of(task_type),
+            type_spec=TaskTypeSpec.of(task_type),
             function=getattr(function, "__wrapped__", function),
             accesses=encoded,
             args=self._encode_payload(tuple(args), ship),

@@ -78,6 +78,7 @@ from repro.runtime.net_wire import (
     _check_payload,
     _HEADER,
     encode_frame,
+    map_arrays,
 )
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
@@ -185,15 +186,7 @@ class TenantArena:
         return cached
 
     def decode_payload(self, value: Any) -> Any:
-        if isinstance(value, NetArrayRef):
-            return self.view(value)
-        if isinstance(value, tuple):
-            return tuple(self.decode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.decode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.decode_payload(v) for k, v in value.items()}
-        return value
+        return map_arrays(value, NetArrayRef, self.view)
 
     def backing_bytes(self, buffer_id: int) -> bytes:
         backing = self._bases.get(buffer_id)

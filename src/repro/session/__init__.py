@@ -21,9 +21,8 @@ Three pieces:
   ``runtime``/``atm``/``simulation`` config tree with dict / TOML / JSON /
   environment round-tripping;
 * the registries (:mod:`repro.session.registry`) — ``register_executor`` /
-  ``register_scheduler`` / ``register_policy`` extension hooks so future
-  backends (e.g. the planned network transport, DESIGN.md §4.3) drop in
-  without touching call sites.
+  ``register_scheduler`` / ``register_policy`` extension hooks so plugin
+  backends drop in without touching call sites (DESIGN.md §6.2).
 """
 
 from repro.runtime.data import In, InOut, Out

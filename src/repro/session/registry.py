@@ -24,10 +24,10 @@ Factory signatures
 * scheduler: ``factory(config: RuntimeConfig) -> Scheduler``
 * policy: ``factory(config: ATMConfig | None, p: float | None) -> ATMPolicy``
 
-This is the seam the planned network-transport backend lands on
-(DESIGN.md §4.3): it will ship a module calling ``register_executor("network",
-...)`` and every existing harness — figures, bench, examples — can select it
-from config alone.
+Every builtin backend — including the remote-worker ``"process"`` and
+``"network"`` backends (DESIGN.md §4.3) — is registered through this same
+seam, so a plugin backend is selectable from config alone by every existing
+harness — figures, bench, examples.
 """
 
 from __future__ import annotations

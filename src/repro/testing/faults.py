@@ -39,6 +39,7 @@ __all__ = [
     "raising_body",
     "flaky_body",
     "wedge_body",
+    "increment_body",
     "kill_worker_body",
     "fault_session",
     "submit_one",
@@ -90,6 +91,12 @@ def wedge_body(sleep_s: float, src, dst) -> None:
     """
     time.sleep(sleep_s)
     dst[:] = src ** 2
+
+
+def increment_body(acc: np.ndarray) -> None:
+    """``acc += 1`` in place: an ``InOut`` body that is not idempotent, so a
+    re-run after its first completion shows as a double apply."""
+    acc += 1.0
 
 
 def kill_worker_body(src, dst) -> None:
@@ -167,6 +174,7 @@ def fault_session(
     if backend == "process":
         runtime["mp_workers"] = workers
         runtime["mp_chunk_size"] = chunk_size
+        runtime["net_max_retries"] = net_max_retries
     return Session({"runtime": runtime})
 
 

@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
-from repro.runtime.data import In, Out
+from repro.runtime.data import In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.testing.faults import (
     BACKENDS,
     fault_session,
     flaky_body,
+    increment_body,
     kill_worker_body,
     raising_body,
     square_body,
@@ -113,6 +114,35 @@ def test_wedged_task_times_out(backend):
     assert failure.label.startswith("wedge#")
 
 
+def test_wedge_spares_chunk_siblings_process_backend():
+    """A wedge kill charges only the overrunning task, even at chunk_size=2.
+
+    Process workers write the shared segments in place, so re-running a
+    sibling that already finished would apply its ``InOut`` increment a
+    second time, and charging it would fail an innocent task.
+    """
+    t0 = time.monotonic()
+    acc = np.zeros(8)
+    with fault_session(
+        "process",
+        chunk_size=2,
+        task_timeout_s=0.1,
+        net_max_retries=1,
+        on_task_failure="quarantine",
+        drain_timeout_s=20.0,
+    ) as session:
+        session.submit(TaskType("inc", memoizable=False), increment_body,
+                       accesses=[InOut(acc)], args=(acc,))
+        submit_one(session, wedge_body, 5.0, label="wedge")
+        result = session.wait_all()
+    elapsed_under_bound(t0)
+    assert result.tasks_failed == 1
+    assert result.tasks_completed == 1
+    assert [f.label.split("#")[0] for f in result.failures] == ["wedge"]
+    assert result.failures[0].error == "TaskTimeoutError"
+    assert np.array_equal(acc, np.ones(8))
+
+
 @pytest.mark.parametrize("on_failure", ["abort", "quarantine"])
 def test_killed_worker_process_backend(on_failure):
     """SIGKILL-style worker death: detected, respawned, bounded resubmission."""
@@ -141,7 +171,7 @@ def test_killed_worker_process_backend(on_failure):
         assert result.tasks_completed == 4
         for src, dst in sinks:
             assert np.array_equal(dst, src ** 2)
-        backend_stats = result.extra["process_backend"]
+        backend_stats = result.extra["network_backend"]
         assert backend_stats["respawns"] >= 1
         failures = result.failures
     elapsed_under_bound(t0)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
+from repro.runtime.executor import build_executor
 from repro.runtime.task import TaskType
 from repro.session import Out, Session
 
@@ -72,12 +73,10 @@ class TestProcessBackendCleanup:
         assert live_segments() - before == set()
 
     def test_explicit_executor_instance_cleans_up_on_error_too(self):
-        from repro.runtime.mp_executor import ProcessExecutor
-
         before = live_segments()
         config = RuntimeConfig(num_threads=2, executor="process")
         with pytest.raises(RuntimeError):
-            with Session(executor=ProcessExecutor(config=config)) as session:
+            with Session(executor=build_executor(config)) as session:
                 submit_square(session)
                 session.wait_all()
                 raise RuntimeError("boom")

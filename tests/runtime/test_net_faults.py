@@ -24,6 +24,7 @@ import pytest
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import NetworkDrainError, RuntimeStateError
 from repro.runtime.data import In, InOut, Out
+from repro.runtime.executor import build_executor
 from repro.runtime.task import TaskType
 from repro.runtime.net_executor import NetworkExecutor
 from repro.runtime.net_transport import LoopbackEndpoint, serve_connection
@@ -282,9 +283,7 @@ def test_session_assigned_engine_reaches_workers(backend):
         )
         executor.drain_timeout = SCENARIO_TIMEOUT
     else:
-        from repro.runtime.mp_executor import ProcessExecutor
-
-        executor = ProcessExecutor(config=config)
+        executor = build_executor(config)
     n = 6
     source = np.full(16, 2.0)
     sinks = [np.zeros(16) for _ in range(n)]

@@ -26,13 +26,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
-from repro.runtime.mp_executor import _TaskTypeSpec  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     ChunkArena,
     ChunkEncoder,
     NetTaskDescriptor,
+    TaskTypeSpec,
     decode_frame,
     encode_frame,
+    map_arrays,
 )
 from repro.runtime.task import TaskType  # noqa: E402
 
@@ -200,11 +201,11 @@ def test_descriptor_round_trip_identity(base_and_view, task_id, name):
     descriptor = NetTaskDescriptor(
         task_id=task_id,
         creation_index=task_id,
-        type_spec=_TaskTypeSpec.of(TaskType(name or "t", memoizable=True)),
+        type_spec=TaskTypeSpec.of(TaskType(name or "t", memoizable=True)),
         function=square,
         accesses=((encoder.ref(view), "inout", name),),
-        args=encoder.encode_payload((view, 3.5, name)),
-        kwargs=encoder.encode_payload({"scale": 2, "data": view}),
+        args=map_arrays((view, 3.5, name), np.ndarray, encoder.ref),
+        kwargs=map_arrays({"scale": 2, "data": view}, np.ndarray, encoder.ref),
     )
     message, _ = decode_frame(encode_frame(("chunk-part", descriptor, encoder.buffers())))
     _kind, decoded, buffers = message

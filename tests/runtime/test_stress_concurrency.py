@@ -5,8 +5,7 @@ bucket of capacity 2 against 8 distinct input patterns), so entries are
 continuously evicted and re-inserted while 8 workers race on lookups,
 commits and (threaded) in-flight deferrals.
 
-Asserted invariants, for both :class:`ThreadedExecutor` and
-:class:`ProcessExecutor`:
+Asserted invariants, for both the threaded and the process backend:
 
 * the drain finishes inside a bounded wall-clock window and never raises
   :class:`RuntimeStateError` (no worker starvation, no lost completion);
@@ -30,8 +29,7 @@ from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig
 from repro.session import Session
 from repro.runtime.data import In, Out
-from repro.runtime.executor import ThreadedExecutor
-from repro.runtime.mp_executor import ProcessExecutor
+from repro.runtime.executor import build_executor
 from repro.runtime.task import TaskType
 
 WORKERS = 8
@@ -88,12 +86,12 @@ def test_stress_fanout_churn(backend):
     engine = ATMEngine(
         config=atm_config, policy=StaticATMPolicy(atm_config), num_threads=WORKERS
     )
-    runtime_config = RuntimeConfig(num_threads=WORKERS, executor=backend)
-    if backend == "threaded":
-        executor = ThreadedExecutor(config=runtime_config, engine=engine)
-    else:
-        executor = ProcessExecutor(config=runtime_config, engine=engine)
-    executor.DRAIN_TIMEOUT = WALL_CLOCK_LIMIT  # fail loudly instead of hanging
+    runtime_config = RuntimeConfig(
+        num_threads=WORKERS,
+        executor=backend,
+        drain_timeout_s=WALL_CLOCK_LIMIT,  # fail loudly instead of hanging
+    )
+    executor = build_executor(runtime_config, engine)
 
     runtime = Session(executor=executor)
     sources, outs = build_fanout(runtime)

@@ -73,7 +73,6 @@ runtime_configs = st.builds(
     ),
     net_timeout_s=st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
     net_max_retries=st.integers(min_value=0, max_value=16),
-    net_timeout_grace_s=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     net_residency=st.booleans(),
     net_residency_budget_bytes=st.integers(min_value=1, max_value=1 << 40),
     task_timeout_s=st.none() | st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
@@ -220,7 +219,6 @@ class TestResidencyKnobs:
     """The PR-7 network residency knobs flow through every exchange format."""
 
     KNOBS = {
-        "net_timeout_grace_s": 0.75,
         "net_residency": False,
         "net_residency_budget_bytes": 64 << 20,
     }
@@ -244,12 +242,14 @@ class TestResidencyKnobs:
     def test_defaults(self):
         cfg = RuntimeConfig()
         assert cfg.net_residency is True
-        assert cfg.net_timeout_grace_s == 0.25
         assert cfg.net_residency_budget_bytes == 256 << 20
 
-    def test_validation_rejects_bad_values(self):
+    def test_removed_timeout_grace_knob_is_rejected(self):
+        # The wedge-detection grace is the fixed net_executor.TIMEOUT_GRACE.
         with pytest.raises(ConfigurationError, match="net_timeout_grace_s"):
-            RuntimeConfig(net_timeout_grace_s=-0.1)
+            ReproConfig.from_dict({"runtime": {"net_timeout_grace_s": 0.75}})
+
+    def test_validation_rejects_bad_values(self):
         with pytest.raises(ConfigurationError, match="net_residency_budget_bytes"):
             RuntimeConfig(net_residency_budget_bytes=0)
 

@@ -15,7 +15,8 @@ from repro.common.exceptions import (
     TaskDefinitionError,
 )
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
-from repro.runtime.mp_executor import ProcessExecutor
+from repro.runtime.net_executor import NetworkExecutor
+from repro.runtime.net_wire import make_engine_spec
 from repro.runtime.simulator import SimulatedExecutor
 from repro.runtime.task import TaskType
 from repro.session import (
@@ -45,7 +46,7 @@ class TestAssembly:
         assert isinstance(Session(executor="simulated").executor, SimulatedExecutor)
         process = Session(executor="process", cores=2)
         try:
-            assert isinstance(process.executor, ProcessExecutor)
+            assert isinstance(process.executor, NetworkExecutor)
         finally:
             process.close()
 
@@ -477,15 +478,13 @@ class TestRegistries:
         # The worker-side engine recipe must carry the *registered* mode
         # name, not the builtin class attribute the plugin inherited —
         # otherwise workers silently rebuild the builtin policy.
-        from repro.runtime.mp_executor import ProcessExecutor
-
         class HalfStatic(StaticATMPolicy):
             pass
 
         register_policy("half_static", lambda config, p: HalfStatic(config))
         try:
             s = Session.from_config({"atm": {"mode": "half_static"}})
-            spec = ProcessExecutor._make_engine_spec(s.engine)
+            spec = make_engine_spec(s.engine)
             assert spec.mode == "half_static"
         finally:
             unregister_policy("half_static")
@@ -493,4 +492,4 @@ class TestRegistries:
         # to the policy's own mode
         config = ATMConfig()
         engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        assert ProcessExecutor._make_engine_spec(engine).mode == "static"
+        assert make_engine_spec(engine).mode == "static"
