@@ -34,14 +34,16 @@ examples:
 	$(PYTHON) examples/adaptive_approximation.py tiny
 
 # Remote-worker backend: parity + fault-injection matrix over the loopback
-# transport, the wire properties and the subprocess endpoints' shared-memory
-# plane, cache-less and fail-fast (mirrors the CI step), and the soak tier
+# transport, the wire properties, the subprocess endpoints' shared-memory
+# plane and the gateway (which decodes through the worker codec), cache-less
+# and fail-fast (mirrors the CI step), and the soak tier
 # (500-task churn with mid-drain worker loss, excluded from tier-1).
 net-loopback:
 	$(PYTHON) -m pytest tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py \
 		tests/runtime/test_net_wire_property.py \
-		tests/runtime/test_process_backend.py -p no:cacheprovider -x -q
+		tests/runtime/test_process_backend.py \
+		tests/serving/test_gateway.py -p no:cacheprovider -x -q
 
 # Residency protocol tier: the hypothesis interleaving property + unit
 # rules for the per-endpoint stale-bytes caches, the parity matrix (which

@@ -28,9 +28,9 @@ Failure semantics: a store that cannot be read raises
 :class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame, bad
 header, schema mismatch) or
 :class:`~repro.common.exceptions.THTStoreUnavailableError` (shard
-unreachable) — never silently-garbage entries.  The Session catches both on
-warm-start and falls back to a cold table; see
-:meth:`repro.session.Session` wiring.
+unreachable) — never silently-garbage entries.  :func:`warm_start`, used by
+the Session and the serving gateway, catches both and falls back to a cold
+table.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import os
 import socket
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from typing import Any, Optional
 
@@ -62,6 +63,7 @@ __all__ = [
     "FileTHTStore",
     "ShardTHTStore",
     "open_store",
+    "warm_start",
     "parse_store_url",
     "merge_deltas",
     "serve_shard_connection",
@@ -135,6 +137,44 @@ def open_store(url: str, atm_config: Optional[ATMConfig] = None):
         return FileTHTStore(target, atm_config=config)
     host, port = target
     return ShardTHTStore(host, port, atm_config=config)
+
+
+def warm_start(url: str, atm_config: ATMConfig, tht, cold: str):
+    """Open ``url`` and merge its table into ``tht``; returns ``(store, warmed)``.
+
+    A damaged cache must never take down the computation it accelerates:
+    an unreachable store (at open or load) warns and yields ``(None,
+    False)``; a corrupt one warns and stays attached, so the next publish
+    rewrites it.  Restored entries merge unjournaled and the journal starts
+    after, so they are never re-published.  ``cold`` names the fallback
+    in each warning.
+    """
+
+    def warn(problem: str, exc: Exception) -> None:
+        # stacklevel 4: past this helper and its caller's constructor.
+        warnings.warn(
+            f"THT store {url} {problem}, {cold}: {exc}", RuntimeWarning, stacklevel=4
+        )
+
+    try:
+        store = open_store(url, atm_config)
+    except THTStoreUnavailableError as exc:
+        warn("unavailable", exc)
+        return None, False
+    try:
+        delta = store.load()
+    except THTStoreCorruptError as exc:
+        warn("unreadable", exc)
+        delta = None
+    except THTStoreUnavailableError as exc:
+        store.close()
+        warn("dropped during warm-start", exc)
+        return None, False
+    warmed = bool(delta and delta.get("entries"))
+    if warmed:
+        tht.merge(delta, journal=False)
+    tht.enable_journal()
+    return store, warmed
 
 
 # -- file backend ---------------------------------------------------------------------

@@ -225,10 +225,6 @@ class RuntimeConfig:
         ``"work_stealing"``).
     enable_tracing:
         Record per-core state intervals and ready-queue depth samples.
-    max_ready_tasks:
-        Optional bound on the ready queue (``None`` = unbounded); used to
-        model the task-creation throughput limitation discussed in Section
-        V-C.
     seed:
         Seed for any stochastic scheduling decisions (work stealing).
     mp_workers:
@@ -309,7 +305,6 @@ class RuntimeConfig:
     executor: str = "serial"
     scheduler: str = "fifo"
     enable_tracing: bool = False
-    max_ready_tasks: Optional[int] = None
     seed: int = 2017
     mp_workers: Optional[int] = None
     mp_chunk_size: int = 8
@@ -335,8 +330,6 @@ class RuntimeConfig:
             )
         EXECUTORS.validate_name(self.executor, field="executor")
         SCHEDULERS.validate_name(self.scheduler, field="scheduler")
-        if self.max_ready_tasks is not None and self.max_ready_tasks < 1:
-            raise ConfigurationError("max_ready_tasks must be >= 1 or None")
         if self.mp_workers is not None and self.mp_workers < 1:
             raise ConfigurationError("mp_workers must be >= 1 or None")
         if self.mp_chunk_size < 1:

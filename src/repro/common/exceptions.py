@@ -133,7 +133,7 @@ class GatewayProtocolError(GatewayError):
     """A client request was malformed or arrived out of sequence.
 
     Examples: a ``submit`` before ``hello``, an unknown message type, or a
-    task referencing a buffer the tenant never shipped.
+    task referencing a buffer never shipped on its connection.
     """
 
 

@@ -96,10 +96,9 @@ from repro.runtime.net_wire import (
     NetChunk,
     NetTaskDescriptor,
     PROTOCOL_VERSION,
-    TaskTypeSpec,
+    describe_task,
     encode_frame,
     make_engine_spec,
-    map_arrays,
     span_bytes,
 )
 from repro.runtime.data import _base_buffer, region_versions
@@ -359,20 +358,12 @@ class NetworkExecutor(BaseExecutor):
         self.close()
 
     # -- task encoding -----------------------------------------------------------
-    def _describe_task(self, task: Task, ref) -> NetTaskDescriptor:
+    @staticmethod
+    def _describe_task(task: Task, ref) -> NetTaskDescriptor:
         """Descriptor of ``task`` with every array replaced by ``ref(array)``."""
-        accesses = tuple(
-            (ref(access.region.array, access.region), access.mode.value, access.region.name)
-            for access in task.accesses
-        )
-        return NetTaskDescriptor(
-            task_id=task.task_id,
-            creation_index=task.creation_index,
-            type_spec=TaskTypeSpec.of(task.task_type),
-            function=task.function,
-            accesses=accesses,
-            args=map_arrays(task.args, np.ndarray, ref),
-            kwargs=map_arrays(task.kwargs, np.ndarray, ref),
+        return describe_task(
+            task.task_id, task.creation_index, task.task_type, task.function,
+            task.accesses, task.args, task.kwargs, ref,
         )
 
     def _shared_ref(self, array: np.ndarray, region=None):

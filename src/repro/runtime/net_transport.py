@@ -52,11 +52,11 @@ from repro.common.exceptions import (
     WireProtocolError,
 )
 from repro.runtime.atm_protocol import EXECUTE_DECISION
-from repro.runtime.data import AccessMode, DataAccess
 from repro.runtime.net_wire import (
     ChunkArena,
     NetChunk,
     PROTOCOL_VERSION,
+    build_task,
     build_worker_engine,
     encode_frame,
     read_frame,
@@ -64,7 +64,7 @@ from repro.runtime.net_wire import (
 )
 from repro.runtime.residency import WorkerBufferCache
 from repro.runtime.shm import SharedVersionTable, WorkerSegments
-from repro.runtime.task import Task, TaskState, TaskType
+from repro.runtime.task import TaskState, TaskType
 
 __all__ = [
     "TRANSPORT_ERROR",
@@ -453,29 +453,11 @@ class NetWorkerState:
         return results, None
 
     def _run_task(self, desc, arena: ChunkArena) -> tuple:
-        task_type = self.task_types.get(desc.type_spec.name)
-        if task_type is None:
-            task_type = desc.type_spec.build()
-            self.task_types[desc.type_spec.name] = task_type
-        accesses = [
-            DataAccess(arena.region(ref, name), AccessMode(mode_value))
-            for ref, mode_value, name in desc.accesses
-        ]
-        task = Task(
-            task_type=task_type,
-            function=desc.function,
-            accesses=accesses,
-            args=arena.decode_payload(desc.args),
-            kwargs=arena.decode_payload(desc.kwargs),
-            task_id=desc.task_id,
-        )
-        task.creation_index = desc.creation_index
-        task.label = f"{task_type.name}#{desc.task_id}"
-
+        task = build_task(desc, arena, self.task_types)
         engine = self.engine
         # Same eligibility gate as BaseExecutor._lookup, so per-worker stats
         # merge into the exact totals a single-process engine would see.
-        if engine is not None and task_type.atm_eligible:
+        if engine is not None and task.task_type.atm_eligible:
             decision = engine.task_ready(task, self.worker_id)
         else:
             decision = EXECUTE_DECISION

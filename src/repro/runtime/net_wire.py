@@ -33,7 +33,9 @@ This module defines the three parts of that story:
 * **Task and engine recipes** — :class:`TaskTypeSpec`,
   :class:`NetTaskDescriptor` and :func:`make_engine_spec` /
   :func:`build_worker_engine`, the picklable descriptions a worker rebuilds
-  tasks and its ATM engine replica from.
+  tasks and its ATM engine replica from.  :func:`describe_task` and
+  :func:`build_task` are the one task encoder and decoder, shared by the
+  executor, its workers and the serving gateway and client (DESIGN.md §8).
 
 Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
 a loopback thread, a forked subprocess or a ``scripts/net_worker.py``
@@ -82,8 +84,15 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
-from repro.runtime.data import ArrayRef, DataRegion, SharedDataRegion, _base_buffer
-from repro.runtime.task import TaskType
+from repro.runtime.data import (
+    AccessMode,
+    ArrayRef,
+    DataAccess,
+    DataRegion,
+    SharedDataRegion,
+    _base_buffer,
+)
+from repro.runtime.task import Task, TaskType
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -98,12 +107,15 @@ __all__ = [
     "NetChunk",
     "ChunkEncoder",
     "ChunkArena",
+    "describe_task",
+    "build_task",
     "map_arrays",
     "span_bytes",
     "encode_frame",
     "decode_frame",
     "iter_frames",
     "read_frame",
+    "read_frame_async",
     "write_frame",
 ]
 
@@ -213,6 +225,17 @@ def read_frame(sock: socket.socket) -> Any:
     """Blocking read of one complete frame from a socket."""
     length, crc = _check_header(_recv_exact(sock, _HEADER.size))
     return _check_payload(_recv_exact(sock, length), crc)
+
+
+async def read_frame_async(reader) -> Any:
+    """Read one frame from an ``asyncio.StreamReader``; ``None`` once the
+    peer has gone (EOF or reset, even mid-frame)."""
+    try:
+        length, crc = _check_header(await reader.readexactly(_HEADER.size))
+        payload = await reader.readexactly(length)
+    except (EOFError, ConnectionError):  # IncompleteReadError is an EOFError
+        return None
+    return _check_payload(payload, crc)
 
 
 def write_frame(sock: socket.socket, message: Any) -> None:
@@ -396,6 +419,57 @@ def map_arrays(value: Any, leaf: type | tuple[type, ...], fn) -> Any:
     return value
 
 
+def describe_task(
+    task_id: int, creation_index: int, task_type: TaskType, function: Any,
+    accesses, args: tuple, kwargs: dict, ref,
+) -> NetTaskDescriptor:
+    """Descriptor of one task with every array replaced by ``ref(array)``:
+    :meth:`ChunkEncoder.ref` (byte form) or a shared-memory registry's
+    ``array_ref``.  Access arrays pass their region for its interval math."""
+    return NetTaskDescriptor(
+        task_id=task_id,
+        creation_index=creation_index,
+        type_spec=TaskTypeSpec.of(task_type),
+        function=function,
+        accesses=tuple(
+            (ref(access.region.array, access.region), access.mode.value, access.region.name)
+            for access in accesses
+        ),
+        args=map_arrays(args, np.ndarray, ref),
+        kwargs=map_arrays(kwargs, np.ndarray, ref),
+    )
+
+
+def build_task(
+    desc: NetTaskDescriptor,
+    arena: "ChunkArena",
+    task_types: dict[str, TaskType],
+    task_id: Optional[int] = None,
+) -> Task:
+    """Rebuild the :class:`Task` ``desc`` describes over ``arena``'s views.
+
+    ``task_types`` caches one :class:`TaskType` per name across calls.
+    ``task_id`` overrides ``desc.task_id`` (the gateway passes ``-1``: its
+    shared graph assigns dense ids).
+    """
+    name = desc.type_spec.name
+    task_type = task_types.get(name)
+    if task_type is None:
+        task_type = task_types[name] = desc.type_spec.build()
+    return Task(
+        task_type=task_type,
+        function=desc.function,
+        accesses=[
+            DataAccess(arena.region(ref, region_name), AccessMode(mode_value))
+            for ref, mode_value, region_name in desc.accesses
+        ],
+        args=map_arrays(desc.args, (NetArrayRef, ArrayRef), arena.view),
+        kwargs=map_arrays(desc.kwargs, (NetArrayRef, ArrayRef), arena.view),
+        task_id=desc.task_id if task_id is None else task_id,
+        creation_index=desc.creation_index,
+    )
+
+
 class ChunkEncoder:
     """Sender-side builder of :class:`NetArrayRef`/:class:`NetBuffer` sets.
 
@@ -438,16 +512,14 @@ class ChunkEncoder:
             dtype=array.dtype.str,
         )
 
-    def spans(self) -> dict[int, tuple[np.ndarray, int, int]]:
-        """Touched union spans as ``buffer_id -> (base, start, end)``.
+    def spans(self) -> dict[int, list]:
+        """Touched union spans as ``buffer_id -> [base, start, end]``.
 
-        The residency-aware dispatch path iterates this to decide, per
-        buffer and per endpoint, between a full ship and a cached dispatch.
+        Senders iterate this to choose what to ship per buffer: the
+        residency-aware dispatch path a full or a cached ship, the gateway
+        client the whole base on first touch.
         """
-        return {
-            buffer_id: (base, start, end)
-            for buffer_id, (base, start, end) in self._spans.items()
-        }
+        return self._spans
 
     def buffers(self) -> tuple[NetBuffer, ...]:
         """Materialise the union span bytes of every touched base buffer."""
@@ -474,7 +546,12 @@ def span_bytes(base: np.ndarray, start: int, end: int) -> bytes:
 
 
 class ChunkArena:
-    """Receiver-side materialisation of one chunk's buffers and views.
+    """Receiver-side materialisation of shipped buffers and their views.
+
+    A worker builds one arena per chunk.  The serving gateway keeps one per
+    client connection and adds each submission's whole-base ships with
+    :meth:`add` (buffer ids are the client's ledger keys, meaningful only
+    within that connection).
 
     Resolves both reference forms of :class:`NetTaskDescriptor`:
 
@@ -497,11 +574,22 @@ class ChunkArena:
     """
 
     def __init__(
-        self, buffers: tuple[NetBuffer, ...], cache=None, segments=None
+        self, buffers: tuple[NetBuffer, ...] = (), cache=None, segments=None
     ) -> None:
         self._segments = segments
+        self._cache = cache
         self._bases: dict[int, tuple[np.ndarray, int]] = {}
+        self._views: dict[Any, np.ndarray] = {}
+        self._regions: dict[Any, DataRegion] = {}
+        self.add(buffers)
+
+    def add(self, buffers: "tuple[NetBuffer, ...] | list[NetBuffer]") -> None:
+        """Materialise more shipped buffers; a buffer id already held keeps
+        its first backing, so views and regions built over it stay valid."""
+        cache = self._cache
         for buf in buffers:
+            if buf.buffer_id in self._bases:
+                continue
             if buf.data is None:
                 entry = cache.get(buf.buffer_id) if cache is not None else None
                 if entry is None or entry.generation != buf.generation:
@@ -517,8 +605,13 @@ class ChunkArena:
             self._bases[buf.buffer_id] = (backing, buf.start)
             if cache is not None:
                 cache.put(buf.buffer_id, backing, buf.start, buf.generation)
-        self._views: dict[Any, np.ndarray] = {}
-        self._regions: dict[Any, DataRegion] = {}
+
+    def backing_bytes(self, buffer_id: int) -> bytes:
+        """Current bytes of the whole shipped backing of ``buffer_id``."""
+        entry = self._bases.get(buffer_id)
+        if entry is None:
+            raise WireProtocolError(f"no shipped buffer {buffer_id:#x}")
+        return entry[0].tobytes()
 
     def view(self, ref) -> np.ndarray:
         cached = self._views.get(ref)
@@ -535,8 +628,8 @@ class ChunkArena:
             entry = self._bases.get(ref.buffer_id)
             if entry is None:
                 raise WireProtocolError(
-                    f"chunk references buffer {ref.buffer_id:#x} that was not "
-                    f"shipped with it"
+                    f"task references buffer {ref.buffer_id:#x} that was not "
+                    f"shipped to this arena"
                 )
             backing, start = entry
         try:
@@ -551,9 +644,6 @@ class ChunkArena:
             raise WireProtocolError(f"cannot rebuild array view: {exc}") from exc
         self._views[ref] = array
         return array
-
-    def decode_payload(self, value: Any) -> Any:
-        return map_arrays(value, (NetArrayRef, ArrayRef), self.view)
 
     def region(self, ref, name: str) -> DataRegion:
         cached = self._regions.get(ref)

@@ -2,10 +2,10 @@
 
 The serving package turns the single-program runtime into a long-lived
 service.  :class:`Gateway` accepts task-graph submissions from many
-concurrent TCP clients, isolates each tenant's data and ATM namespace,
-admits work fairly (weighted deficit round-robin over a bounded pending
-pool), and optionally lets tenants share memoized results through an
-incrementally merged THT tier.  :class:`GatewayClient` is the synchronous
+concurrent TCP clients, isolates each connection's buffers and each
+tenant's ATM namespace, admits work fairly (weighted deficit round-robin
+over a bounded pending pool), and optionally lets tenants share memoized
+results through an incrementally merged THT tier.  :class:`GatewayClient` is the synchronous
 SDK mirroring the Session submission surface.
 """
 
@@ -14,7 +14,6 @@ from repro.serving.client import GatewayClient
 from repro.serving.gateway import (
     Gateway,
     SERVING_PROTOCOL_VERSION,
-    TenantArena,
     TenantEngineRouter,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "Gateway",
     "GatewayClient",
     "SERVING_PROTOCOL_VERSION",
-    "TenantArena",
     "TenantEngineRouter",
 ]

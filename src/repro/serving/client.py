@@ -9,9 +9,12 @@ an application's ``build(runtime)`` runs unchanged against a remote gateway:
         result = client.finish()
         checksum = app.output_checksum()
 
-Buffer model (server-authoritative): the first time a submission touches an
-array, the client ships the array's *whole owning base buffer* to the
-gateway; afterwards only byte-exact :class:`NetArrayRef` handles travel.
+Tasks are encoded by :func:`~repro.runtime.net_wire.describe_task`, the
+same encoder the network executor uses.  Buffer model (server-authoritative):
+the first time a submission on this connection touches an array, the client
+ships the array's *whole owning base buffer* to the gateway; afterwards only
+byte-exact :class:`NetArrayRef` handles travel.  Buffer ids name bases only
+within one connection: a reconnecting client ships its arrays afresh.
 The gateway's copy is authoritative between barriers — host-side writes to
 a shipped array are NOT observed by the server.  At every barrier the
 gateway returns the bytes of each buffer its tasks wrote and the client
@@ -22,20 +25,19 @@ bytes a local Session run would produce.
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.common import exceptions as _exceptions
 from repro.common.exceptions import GatewayError, RuntimeStateError
-from repro.runtime.data import DataAccess, DataRegion, _base_buffer
+from repro.runtime.data import DataAccess
 from repro.runtime.executor import RunResult
 from repro.runtime.net_wire import (
-    NetArrayRef,
+    ChunkEncoder,
     NetBuffer,
     NetTaskDescriptor,
-    TaskTypeSpec,
-    map_arrays,
+    describe_task,
     read_frame,
     span_bytes,
     write_frame,
@@ -109,61 +111,6 @@ class GatewayClient:
             raise _error_class(class_name)(text)
         return reply
 
-    # -- buffer encoding ---------------------------------------------------------
-    def _ref(self, array: np.ndarray, ship: list, region: Optional[DataRegion] = None) -> NetArrayRef:
-        base = _base_buffer(array)
-        buffer_id = id(base)
-        if buffer_id not in self._ledger:
-            self._ledger[buffer_id] = base
-            ship.append(
-                NetBuffer(
-                    buffer_id=buffer_id,
-                    start=0,
-                    data=span_bytes(base, 0, base.nbytes),
-                )
-            )
-        base_addr = base.__array_interface__["data"][0]
-        my_addr = array.__array_interface__["data"][0]
-        return NetArrayRef(
-            buffer_id=buffer_id,
-            offset=int(my_addr - base_addr),
-            shape=tuple(array.shape),
-            strides=tuple(array.strides),
-            dtype=array.dtype.str,
-        )
-
-    def _encode_payload(self, value: Any, ship: list) -> Any:
-        return map_arrays(value, np.ndarray, lambda array: self._ref(array, ship))
-
-    def _describe(
-        self,
-        task_type: TaskType,
-        function: Callable,
-        accesses: Sequence[DataAccess],
-        args: tuple,
-        kwargs: Optional[dict],
-        ship: list,
-    ) -> NetTaskDescriptor:
-        encoded = tuple(
-            (
-                self._ref(access.region.array, ship, access.region),
-                access.mode.value,
-                access.region.name,
-            )
-            for access in accesses
-        )
-        task_id = self._submitted
-        self._submitted += 1
-        return NetTaskDescriptor(
-            task_id=task_id,
-            creation_index=task_id,
-            type_spec=TaskTypeSpec.of(task_type),
-            function=getattr(function, "__wrapped__", function),
-            accesses=encoded,
-            args=self._encode_payload(tuple(args), ship),
-            kwargs=self._encode_payload(dict(kwargs or {}), ship),
-        )
-
     # -- Session-compatible surface ----------------------------------------------
     def submit(
         self,
@@ -174,16 +121,22 @@ class GatewayClient:
         kwargs: Optional[dict] = None,
     ) -> int:
         """Ship one task; returns the client-side submission index."""
-        ship: list = []
-        desc = self._describe(task_type, function, accesses, args, kwargs, ship)
-        self._request(("submit", desc, tuple(ship)))
+        (desc,), ship = self._encode([(task_type, function, accesses, args, kwargs)])
+        self._request(("submit", desc, ship))
         return desc.task_id
 
     def submit_batch(
         self, specs: "Sequence[Sequence] | Sequence[Mapping]"
     ) -> list[int]:
         """Ship many tasks in one frame (one ``ack`` round-trip)."""
-        ship: list = []
+        descs, ship = self._encode(specs)
+        self._request(("submit_batch", descs, ship))
+        return [d.task_id for d in descs]
+
+    def _encode(self, specs) -> tuple[tuple[NetTaskDescriptor, ...], tuple[NetBuffer, ...]]:
+        """Descriptors of ``specs`` (Session ``submit_batch`` forms) plus the
+        whole owning bases they touch for the first time on this connection."""
+        encoder = ChunkEncoder()
         descs = []
         for spec in specs:
             if isinstance(spec, Mapping):
@@ -196,11 +149,24 @@ class GatewayClient:
                 task_type, function, accesses = spec[0], spec[1], spec[2]
                 args = spec[3] if len(spec) > 3 else ()
                 kwargs = spec[4] if len(spec) > 4 else None
-            descs.append(
-                self._describe(task_type, function, accesses, args, kwargs, ship)
-            )
-        self._request(("submit_batch", tuple(descs), tuple(ship)))
-        return [d.task_id for d in descs]
+            task_id = self._submitted
+            self._submitted += 1
+            function = getattr(function, "__wrapped__", function)
+            descs.append(describe_task(
+                task_id, task_id, task_type, function, accesses,
+                tuple(args), dict(kwargs or {}), encoder.ref,
+            ))
+        fresh = {
+            buffer_id: base
+            for buffer_id, (base, _start, _end) in encoder.spans().items()
+            if buffer_id not in self._ledger
+        }
+        ship = tuple(
+            NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+            for buffer_id, base in fresh.items()
+        )
+        self._ledger.update(fresh)
+        return tuple(descs), ship
 
     def wait_all(self) -> dict:
         """Barrier: block until every submitted task is terminal.

@@ -6,10 +6,12 @@ frame format), each claiming a **tenant** identity, and their task-graph
 submissions are multiplexed onto ONE shared long-lived executor pool (any
 registered backend).  Three properties make the sharing safe:
 
-* **Isolation** — every tenant owns a private :class:`TenantArena` (its
-  buffers, and therefore its dependence regions, are disjoint from every
-  other tenant's) and a private ATM engine replica, so memoization state
-  never leaks across tenants.
+* **Isolation** — every tenant owns a private
+  :class:`~repro.runtime.net_wire.ChunkArena`, emptied at each connection
+  (its buffers, and therefore its dependence regions, are disjoint from
+  every other tenant's) and a private ATM engine replica, so memoization
+  state never leaks across tenants.  Tasks are decoded by
+  :func:`~repro.runtime.net_wire.build_task`, the network workers' decoder.
 * **Fairness** — submissions pass through the
   :class:`~repro.serving.admission.AdmissionController`: per-tenant FIFO
   queues drained by weighted deficit round-robin into a bounded global
@@ -49,8 +51,6 @@ import warnings
 from collections import deque
 from typing import Any, Mapping, Optional
 
-import numpy as np
-
 from repro.common.exceptions import (
     AdmissionError,
     ConfigurationError,
@@ -59,26 +59,21 @@ from repro.common.exceptions import (
     GatewayShutdownError,
     ReproError,
     TenantRejectedError,
-    THTStoreCorruptError,
     THTStoreError,
-    THTStoreUnavailableError,
+    WireProtocolError,
 )
 from repro.runtime.atm_protocol import (
     ATMAction,
     ATMDecision,
     EXECUTE_DECISION,
 )
-from repro.runtime.data import AccessMode, DataAccess, DataRegion
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_wire import (
-    NetArrayRef,
-    NetBuffer,
-    _check_header,
-    _check_payload,
-    _HEADER,
+    ChunkArena,
+    build_task,
     encode_frame,
-    map_arrays,
+    read_frame_async,
 )
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
@@ -86,7 +81,6 @@ from repro.session.config import ReproConfig
 
 __all__ = [
     "Gateway",
-    "TenantArena",
     "TenantEngineRouter",
     "SERVING_PROTOCOL_VERSION",
 ]
@@ -96,105 +90,6 @@ SERVING_PROTOCOL_VERSION = 1
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
-
-
-async def read_message(reader: asyncio.StreamReader) -> Any:
-    """Read one net_wire frame from an asyncio stream (None at clean EOF)."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    length, crc = _check_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return _check_payload(payload, crc)
-
-
-class TenantArena:
-    """Persistent per-tenant buffer store (the gateway's ChunkArena analogue).
-
-    Client buffers are shipped whole (one :class:`NetBuffer` with
-    ``start == 0`` covering the owning base) on first touch and live here for
-    the tenant's lifetime; the server-side copy is authoritative between
-    barriers.  Views and regions are cached by their byte-exact layout so
-    repeated submissions over the same client array resolve to the *same*
-    :class:`DataRegion` object — which is what makes the shared dependence
-    graph and the ATM key caches see a stable identity per tenant array.
-    """
-
-    def __init__(self) -> None:
-        self._bases: dict[int, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, DataRegion] = {}
-
-    def store(self, buffers: "tuple[NetBuffer, ...] | list[NetBuffer]") -> None:
-        for buf in buffers:
-            if buf.data is None:
-                raise GatewayProtocolError(
-                    "the gateway ships tenant buffers whole; cached "
-                    "(data=None) NetBuffer dispatches are a worker-protocol "
-                    "form the serving protocol does not use"
-                )
-            if buf.start != 0:
-                raise GatewayProtocolError(
-                    f"tenant buffer {buf.buffer_id:#x} shipped a partial span "
-                    f"(start={buf.start}); the serving protocol ships whole "
-                    f"base buffers"
-                )
-            if buf.buffer_id in self._bases:
-                # First ship wins: the server copy is authoritative and the
-                # SDK never re-ships a buffer it already registered.
-                continue
-            self._bases[buf.buffer_id] = np.frombuffer(
-                bytearray(buf.data), dtype=np.uint8
-            )
-
-    def view(self, ref: NetArrayRef) -> np.ndarray:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
-        backing = self._bases.get(ref.buffer_id)
-        if backing is None:
-            raise GatewayProtocolError(
-                f"task references buffer {ref.buffer_id:#x} that this tenant "
-                f"never shipped"
-            )
-        try:
-            array = np.ndarray(
-                ref.shape,
-                dtype=np.dtype(ref.dtype),
-                buffer=backing,
-                offset=ref.offset,
-                strides=ref.strides,
-            )
-        except (ValueError, TypeError) as exc:
-            raise GatewayProtocolError(
-                f"cannot rebuild array view: {exc}"
-            ) from exc
-        self._views[key] = array
-        return array
-
-    def region(self, ref: NetArrayRef, name: str) -> DataRegion:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
-        if cached is None:
-            cached = DataRegion(self.view(ref), name=name)
-            self._regions[key] = cached
-        return cached
-
-    def decode_payload(self, value: Any) -> Any:
-        return map_arrays(value, NetArrayRef, self.view)
-
-    def backing_bytes(self, buffer_id: int) -> bytes:
-        backing = self._bases.get(buffer_id)
-        if backing is None:
-            raise GatewayProtocolError(
-                f"write-back references unknown buffer {buffer_id:#x}"
-            )
-        return backing.tobytes()
 
 
 class _TenantState:
@@ -212,7 +107,11 @@ class _TenantState:
         self.weight = weight
         self.engine = engine
         self.share_tht = share_tht
-        self.arena = TenantArena()
+        # Buffer ids are the client's ledger keys, meaningful only within
+        # one connection: the arena and the ids written since the last
+        # barrier start empty at every hello (see _register_tenant).
+        self.arena = ChunkArena()
+        self.dirty: set[int] = set()
         self.task_types: dict[str, TaskType] = {}
         self.lock = threading.Lock()
         self.connected = False
@@ -224,7 +123,6 @@ class _TenantState:
         self.cancelled = 0
         self.shared_hits = 0
         self.failed_ids: set[int] = set()
-        self.dirty: set[int] = set()
         self.latencies: deque = deque(maxlen=max(history, 1))
         self.barriers: list[asyncio.Future] = []
         self.last_flush = time.monotonic()
@@ -385,7 +283,11 @@ class Gateway:
         # and is visible to other gateways/sessions on the same store.
         self._tht_store = None
         if self._shared_tht is not None and cfg.atm.tht_store:
-            self._tht_store = self._open_tht_store(cfg.atm.tht_store)
+            from repro.atm.store import warm_start
+
+            self._tht_store, _warmed = warm_start(
+                cfg.atm.tht_store, cfg.atm, self._shared_tht, "shared tier cold-starts"
+            )
         self._router = TenantEngineRouter(shared_tht=self._shared_tht)
         self._admission = AdmissionController(
             max_pending=self.serving.max_pending,
@@ -412,49 +314,6 @@ class Gateway:
         self._merge_thread: Optional[threading.Thread] = None
 
     # -- persistent shared tier (DESIGN.md §9) -----------------------------------
-    def _open_tht_store(self, url: str):
-        """Warm-start the shared tier from ``atm.tht_store``.
-
-        Mirrors the Session's failure semantics: a corrupt or unreachable
-        store degrades to a cold shared tier with a ``RuntimeWarning``.  The
-        shared tier's journal is enabled only when a store is attached (and
-        after the restore merge), so the merge pump publishes exactly the
-        increment each tick and never re-publishes restored entries.
-        """
-        from repro.atm.store import open_store
-
-        try:
-            store = open_store(url, self.config.atm)
-        except THTStoreUnavailableError as exc:
-            warnings.warn(
-                f"THT store {url} unavailable, shared tier cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        try:
-            delta = store.load()
-        except THTStoreCorruptError as exc:
-            warnings.warn(
-                f"THT store {url} unreadable, shared tier cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            delta = None
-        except THTStoreUnavailableError as exc:
-            store.close()
-            warnings.warn(
-                f"THT store {url} dropped during warm-start, shared tier "
-                f"cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if delta and delta.get("entries"):
-            self._shared_tht.merge(delta, journal=False)
-        self._shared_tht.enable_journal()
-        return store
-
     def _publish_shared_delta(self) -> None:
         """Ship the shared tier's journal increment to the store.
 
@@ -787,8 +646,13 @@ class Gateway:
                     raise TenantRejectedError(
                         f"tenant {name!r} already has a live connection"
                     )
-                # Reconnection resumes the existing namespace (arena, engine,
-                # counters) — the point of a persistent per-tenant ATM tier.
+                # Reconnection resumes the tenant (engine, counters, shared
+                # tier opt-in) — the point of a persistent per-tenant ATM
+                # tier — but not its buffers: the new connection's ids may
+                # reuse an old one's for other arrays.  The old handler no
+                # longer touches them (it cleared `connected` on exit).
+                tenant.arena = ChunkArena()
+                tenant.dirty = set()
                 tenant.connected = True
                 return tenant
             engine = self._build_tenant_engine(atm_mode, info.get("atm_p"), share)
@@ -838,7 +702,7 @@ class Gateway:
 
         try:
             while True:
-                message = await read_message(reader)
+                message = await read_frame_async(reader)
                 if message is None:
                     break
                 try:
@@ -932,11 +796,30 @@ class Gateway:
     def _ingest_submission(
         self, tenant: _TenantState, descs: list, buffers
     ) -> int:
-        tenant.arena.store(buffers)
+        for buf in buffers:
+            if buf.data is None or buf.start != 0:
+                raise GatewayProtocolError(
+                    f"tenant buffer {buf.buffer_id:#x} shipped a cached or "
+                    f"partial span; the serving protocol ships whole base buffers"
+                )
         t_submit = time.monotonic()
-        # Build (and validate) every task before binding any route, so a
-        # rejected descriptor mid-batch leaves no dangling router entries.
-        tasks = [self._build_task(tenant, desc) for desc in descs]
+        # Ships land before the build: the client's ledger counts them as
+        # shipped even when a task below is rejected.  Every task is built
+        # (and validated) before any route binds, so a rejected descriptor
+        # mid-batch leaves no dangling router entries.  The shared graph
+        # assigns dense ids (task_id=-1).
+        try:
+            tenant.arena.add(buffers)
+            tasks = [
+                build_task(desc, tenant.arena, tenant.task_types, task_id=-1)
+                for desc in descs
+            ]
+        except WireProtocolError as exc:
+            raise GatewayProtocolError(str(exc)) from exc
+        for task, desc in zip(tasks, descs):
+            for access, (ref, _mode, _name) in zip(task.accesses, desc.accesses):
+                if access.writes:
+                    tenant.dirty.add(ref.buffer_id)
         for task in tasks:
             self._router.bind(task, _Route(tenant, t_submit))
         with tenant.lock:
@@ -958,27 +841,6 @@ class Gateway:
         # exited — tasks nobody would ever run.
         self._signal_work()
         return len(tasks)
-
-    def _build_task(self, tenant: _TenantState, desc) -> Task:
-        type_spec = desc.type_spec
-        task_type = tenant.task_types.get(type_spec.name)
-        if task_type is None:
-            task_type = type_spec.build()
-            tenant.task_types[type_spec.name] = task_type
-        accesses = []
-        for ref, mode_value, name in desc.accesses:
-            mode = AccessMode(mode_value)
-            accesses.append(DataAccess(tenant.arena.region(ref, name), mode))
-            if mode.writes:
-                tenant.dirty.add(ref.buffer_id)
-        return Task(
-            task_type=task_type,
-            function=desc.function,
-            accesses=accesses,
-            args=tenant.arena.decode_payload(desc.args),
-            kwargs=tenant.arena.decode_payload(desc.kwargs),
-            task_id=-1,  # the shared graph assigns dense ids
-        )
 
     # -- replies -----------------------------------------------------------------
     def _barrier_payload(self, tenant: _TenantState) -> tuple[dict, list]:

@@ -44,9 +44,7 @@ from repro.common.exceptions import (
     ConfigurationError,
     RuntimeStateError,
     TaskDefinitionError,
-    THTStoreCorruptError,
     THTStoreError,
-    THTStoreUnavailableError,
 )
 from repro.runtime.data import DataAccess, In, InOut, Out
 from repro.runtime.executor import BaseExecutor, RunResult, build_executor
@@ -344,7 +342,19 @@ class Session:
         self._tht_store = None
         self.warm_started = False
         if cfg.atm.tht_store:
-            self._tht_store = self._open_tht_store(cfg.atm.tht_store)
+            if self.engine is None:
+                # Raised before any submission, but the executor (and a
+                # possible worker pool) already exists — release it.
+                self.executor.close()
+                raise ConfigurationError(
+                    "atm.tht_store requires a memoization engine (set atm.mode "
+                    "or pass policy=)"
+                )
+            from repro.atm.store import warm_start
+
+            self._tht_store, self.warm_started = warm_start(
+                cfg.atm.tht_store, cfg.atm, self.engine.tht, "cold-starting"
+            )
         self._closed = False
         self._drained = False
         self._drain_aborted = ""  # exception class name once a drain fails
@@ -352,60 +362,6 @@ class Session:
         self._batch_buffer: Optional[list[Task]] = None
 
     # -- persistent THT store (DESIGN.md §9) --------------------------------------
-    def _open_tht_store(self, url: str):
-        """Open ``atm.tht_store`` and warm-start the engine's THT from it.
-
-        Failure semantics: a corrupt file or unreachable shard degrades to a
-        cold start with a ``RuntimeWarning`` — a damaged cache must never
-        take down the computation it was meant to accelerate.  The journal is
-        enabled *after* the restore merge, so warm-started entries are never
-        re-published by this session's flush.
-        """
-        if self.engine is None:
-            # Raised before any submission, but the executor (and a possible
-            # worker pool) already exists — release it on the error path.
-            self.executor.close()
-            raise ConfigurationError(
-                "atm.tht_store requires a memoization engine (set atm.mode "
-                "or pass policy=)"
-            )
-        from repro.atm.store import open_store
-
-        try:
-            store = open_store(url, self.config.atm)
-        except THTStoreUnavailableError as exc:
-            warnings.warn(
-                f"THT store {url} unavailable, cold-starting: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        try:
-            delta = store.load()
-        except THTStoreCorruptError as exc:
-            # Keep the store attached: the finish() flush rewrites the
-            # damaged file with a fresh snapshot (FileTHTStore self-heals).
-            warnings.warn(
-                f"THT store {url} unreadable, cold-starting: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            delta = None
-        except THTStoreUnavailableError as exc:
-            store.close()
-            warnings.warn(
-                f"THT store {url} dropped during warm-start, cold-starting: "
-                f"{exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if delta and delta.get("entries"):
-            self.engine.tht.merge(delta, journal=False)
-            self.warm_started = True
-        self.engine.enable_delta_snapshots()
-        return store
-
     def _flush_tht_store(self) -> None:
         """Publish this run's THT commits to the store and release it."""
         store, self._tht_store = self._tht_store, None

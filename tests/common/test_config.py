@@ -77,11 +77,6 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(scheduler="round_robin")
 
-    def test_max_ready_tasks_validated(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(max_ready_tasks=0)
-        assert RuntimeConfig(max_ready_tasks=None).max_ready_tasks is None
-
     def test_with_overrides(self):
         assert RuntimeConfig().with_overrides(num_threads=2).num_threads == 2
 

@@ -13,8 +13,9 @@ Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
   arrays, empty arrays and non-contiguous views (strided slices,
   transposes, negative steps), while aliasing between views of one base
   survives and the rebuilt buffers never share memory with the originals;
-* **descriptor identity** — ``NetTaskDescriptor``/engine-delta payloads
-  survive encode→decode structurally intact.
+* **descriptor identity** — tasks survive ``describe_task`` → frame →
+  ``build_task`` over a per-chunk or a connection-wide arena, and
+  engine-delta payloads survive encode→decode structurally intact.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
+from repro.runtime.data import AccessMode, DataAccess, DataRegion  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     ChunkArena,
     ChunkEncoder,
-    NetTaskDescriptor,
+    NetBuffer,
     TaskTypeSpec,
+    build_task,
     decode_frame,
+    describe_task,
     encode_frame,
-    map_arrays,
+    span_bytes,
 )
 from repro.runtime.task import TaskType  # noqa: E402
 
@@ -193,36 +197,62 @@ def square(x, y):  # module-level: pickles by reference
     y[:] = x ** 2
 
 
+def _connection_ships(encoder: ChunkEncoder) -> tuple[NetBuffer, ...]:
+    """Whole-base ships, the form a gateway connection's arena receives."""
+    return tuple(
+        NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+        for buffer_id, (base, _start, _end) in encoder.spans().items()
+    )
+
+
+@pytest.mark.parametrize("form", ["chunk", "connection"])
 @settings(max_examples=50, deadline=None)
 @given(views(), st.integers(0, 2**31 - 1), st.text(max_size=12))
-def test_descriptor_round_trip_identity(base_and_view, task_id, name):
+def test_descriptor_round_trip_identity(form, base_and_view, task_id, name):
+    """``describe_task`` -> frame -> ``build_task`` rebuilds the task, over a
+    worker's per-chunk arena (union spans) or over the arena one gateway
+    connection shares across its submissions (whole bases, via ``add``)."""
     _base, view = base_and_view
     encoder = ChunkEncoder()
-    descriptor = NetTaskDescriptor(
-        task_id=task_id,
-        creation_index=task_id,
-        type_spec=TaskTypeSpec.of(TaskType(name or "t", memoizable=True)),
-        function=square,
-        accesses=((encoder.ref(view), "inout", name),),
-        args=map_arrays((view, 3.5, name), np.ndarray, encoder.ref),
-        kwargs=map_arrays({"scale": 2, "data": view}, np.ndarray, encoder.ref),
+    task_type = TaskType(name or "t", memoizable=True)
+    descriptor = describe_task(
+        task_id,
+        task_id,
+        task_type,
+        square,
+        [DataAccess(DataRegion(view, name=name), AccessMode.INOUT)],
+        (view, 3.5, name),
+        {"scale": 2, "data": view},
+        encoder.ref,
     )
-    message, _ = decode_frame(encode_frame(("chunk-part", descriptor, encoder.buffers())))
+    ships = encoder.buffers() if form == "chunk" else _connection_ships(encoder)
+    message, _ = decode_frame(encode_frame(("chunk-part", descriptor, ships)))
     _kind, decoded, buffers = message
-    assert decoded.task_id == descriptor.task_id
-    assert decoded.type_spec == descriptor.type_spec
-    assert decoded.function is square  # resolved by reference, not copied
-    assert decoded.accesses[0][1:] == ("inout", name)
-    arena = ChunkArena(buffers)
-    rebuilt = arena.decode_payload(decoded.args)
-    assert bit_equal(rebuilt[0], view)
-    assert rebuilt[1:] == (3.5, name)
-    kw = arena.decode_payload(decoded.kwargs)
-    assert kw["scale"] == 2
-    assert bit_equal(kw["data"], view)
-    # args and accesses alias one worker-side buffer, like the parent side.
-    access_view = arena.view(decoded.accesses[0][0])
-    assert access_view.base is rebuilt[0].base
+    assert decoded.type_spec == TaskTypeSpec.of(task_type)
+    if form == "chunk":
+        arena = ChunkArena(buffers)
+    else:
+        arena = ChunkArena()
+        arena.add(buffers)
+    task_types: dict = {}
+    task = build_task(decoded, arena, task_types)
+    assert task.task_id == task.creation_index == task_id
+    assert task.task_type is task_types[task_type.name]
+    assert task.function is square  # resolved by reference, not copied
+    (access,) = task.accesses
+    assert access.mode is AccessMode.INOUT and access.region.name == name
+    assert bit_equal(task.args[0], view)
+    assert task.args[1:] == (3.5, name)
+    assert task.kwargs["scale"] == 2
+    assert bit_equal(task.kwargs["data"], view)
+    # args and accesses alias one receiver-side view, like the parent side.
+    assert access.region.array is task.args[0] is task.kwargs["data"]
+    # A second submission over the same arena resolves to the same region
+    # and type objects: the identity the dependence graph and ATM key on.
+    again = build_task(decoded, arena, task_types, task_id=-1)
+    assert again.task_id == -1
+    assert again.accesses[0].region is access.region
+    assert again.task_type is task.task_type
 
 
 def test_engine_delta_round_trip():

@@ -8,6 +8,7 @@ whole file stays in the tier-1 time budget.
 from __future__ import annotations
 
 import socket
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from repro.common.exceptions import (
     TenantRejectedError,
 )
 from repro.runtime.data import In, InOut, Out
-from repro.runtime.net_wire import read_frame, write_frame
+from repro.runtime.net_wire import (
+    NetArrayRef,
+    NetBuffer,
+    NetTaskDescriptor,
+    TaskTypeSpec,
+    read_frame,
+    write_frame,
+)
 from repro.runtime.task import TaskType
 from repro.serving import Gateway, GatewayClient, SERVING_PROTOCOL_VERSION
 from repro.session import ReproConfig, Session
@@ -47,6 +55,47 @@ def gateway():
 def connect(gateway: Gateway, tenant: str, **kwargs) -> GatewayClient:
     return GatewayClient(
         "127.0.0.1", gateway.port, tenant=tenant, **kwargs
+    )
+
+
+# Raw-frame helpers: fixed buffer ids instead of the SDK's id(base) keys,
+# so tests control exactly which ids each connection ships.
+BLOCK_ID, ACC_ID = 0xB10C, 0xACC
+
+
+@contextmanager
+def raw_session(gateway: Gateway, tenant: str):
+    with socket.create_connection(("127.0.0.1", gateway.port)) as sock:
+        write_frame(sock, ("hello", {
+            "protocol": SERVING_PROTOCOL_VERSION, "tenant": tenant,
+        }))
+        assert read_frame(sock)[0] == "hello_ack"
+        yield sock
+
+
+def request(sock: socket.socket, *message):
+    write_frame(sock, message)
+    return read_frame(sock)
+
+
+def whole(buffer_id: int, array: np.ndarray) -> NetBuffer:
+    return NetBuffer(buffer_id, 0, array.tobytes())
+
+
+def accumulate_desc(n: int = 4) -> NetTaskDescriptor:
+    """``acc += block`` over buffers BLOCK_ID and ACC_ID of n float64s."""
+    block, acc = (
+        NetArrayRef(buffer_id, 0, (n,), (8,), "<f8")
+        for buffer_id in (BLOCK_ID, ACC_ID)
+    )
+    return NetTaskDescriptor(
+        task_id=0,
+        creation_index=0,
+        type_spec=TaskTypeSpec.of(ACC),
+        function=accumulate_block,
+        accesses=((block, "in", "block"), (acc, "inout", "acc")),
+        args=(block, acc),
+        kwargs={},
     )
 
 
@@ -131,6 +180,24 @@ class TestEndToEnd:
         assert np.all(acc == 3.0)
 
 
+    def test_reconnect_never_reads_an_earlier_connections_buffers(self, gateway):
+        # Buffer ids name client arrays only within one connection: the SDK
+        # keys them by id(base), which CPython reuses once an array dies.
+        # Connection 2 ships other bytes under connection 1's ids and must
+        # compute on its own bytes, not on the first ship.
+        with raw_session(gateway, "e2e-stale") as sock:
+            ship = (whole(BLOCK_ID, np.ones(4)), whole(ACC_ID, np.zeros(4)))
+            assert request(sock, "submit", accumulate_desc(), ship)[0] == "ack"
+            assert request(sock, "barrier")[0] == "barrier_result"
+        with raw_session(gateway, "e2e-stale") as sock:
+            ship = (whole(BLOCK_ID, np.full(4, 7.0)), whole(ACC_ID, np.zeros(4)))
+            assert request(sock, "submit", accumulate_desc(), ship)[0] == "ack"
+            _, summary, dirty = request(sock, "barrier")
+        assert summary["tasks_completed"] == 2  # the tenant's counters resumed
+        assert [buffer_id for buffer_id, _ in dirty] == [ACC_ID]
+        np.testing.assert_array_equal(np.frombuffer(dirty[0][1]), np.full(4, 7.0))
+
+
 class TestFailureSurfacing:
     def test_failure_and_cancellation_reach_the_client(self, gateway):
         data = np.zeros(4)
@@ -196,6 +263,23 @@ class TestProtocolErrors:
             reply = read_frame(sock)
             assert reply[:2] == ("error", "TenantRejectedError")
             assert "protocol mismatch" in reply[2]
+
+    @pytest.mark.parametrize(
+        "kind, block",
+        [
+            ("unshipped", None),  # never shipped on this connection
+            ("partial-span", NetBuffer(BLOCK_ID, 8, np.ones(3).tobytes())),
+            ("cached", NetBuffer(BLOCK_ID, 0, None)),  # worker residency form
+        ],
+    )
+    def test_arena_errors_are_error_replies(self, gateway, kind, block):
+        ship = (whole(ACC_ID, np.zeros(4)),) + ((block,) if block else ())
+        with raw_session(gateway, f"proto-arena-{kind}") as sock:
+            reply = request(sock, "submit", accumulate_desc(), ship)
+            assert reply[:2] == ("error", "GatewayProtocolError")
+            result = request(sock, "result")  # the connection is still live
+            assert result[0] == "result_reply"
+            assert result[1]["tasks_submitted"] == 0
 
     def test_client_raises_typed_errors(self, gateway):
         with pytest.raises(TenantRejectedError, match="weight"):
@@ -352,6 +436,22 @@ class TestPersistentSharedTier:
             self.run_app(gw, "degraded-a")
             second, _ = self.run_app(gw, "degraded-b")
         assert second.extra["shared_hits"] > 0  # in-memory sharing still works
+
+
+    def test_corrupt_store_warns_cold_starts_and_heals(self, tmp_path):
+        store_path = tmp_path / "corrupt.tht"
+        store_path.write_bytes(b"definitely not a store")
+        cfg = self.store_config(f"file://{store_path}")
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            gw = Gateway(cfg)
+        with gw:
+            first, _ = self.run_app(gw, "corrupt-a")
+        assert first.extra["shared_hits"] == 0  # cold shared tier
+        # The store stayed attached and the shutdown publish replaced the
+        # damaged file: the next gateway warm-starts from it.
+        with Gateway(cfg) as gw:
+            second, _ = self.run_app(gw, "corrupt-b")
+        assert second.extra["shared_hits"] > 0
 
 
 class TestGatewayConfig:

@@ -63,7 +63,6 @@ runtime_configs = st.builds(
     executor=st.sampled_from(["serial", "threaded", "process", "simulated"]),
     scheduler=st.sampled_from(["fifo", "lifo", "work_stealing"]),
     enable_tracing=st.booleans(),
-    max_ready_tasks=st.none() | st.integers(min_value=1, max_value=1024),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     mp_workers=st.none() | st.integers(min_value=1, max_value=16),
     mp_chunk_size=st.integers(min_value=1, max_value=64),
@@ -248,6 +247,17 @@ class TestResidencyKnobs:
         # The wedge-detection grace is the fixed net_executor.TIMEOUT_GRACE.
         with pytest.raises(ConfigurationError, match="net_timeout_grace_s"):
             ReproConfig.from_dict({"runtime": {"net_timeout_grace_s": 0.75}})
+
+    def test_removed_max_ready_tasks_knob_is_rejected(self, tmp_path):
+        # The ready-queue bound was never enforced; every format refuses it.
+        with pytest.raises(ConfigurationError, match="max_ready_tasks"):
+            ReproConfig.from_dict({"runtime": {"max_ready_tasks": 4}})
+        path = tmp_path / "cfg.json"
+        path.write_text('{"runtime": {"max_ready_tasks": 4}}')
+        with pytest.raises(ConfigurationError, match="max_ready_tasks"):
+            ReproConfig.from_file(path)
+        with pytest.raises(ConfigurationError, match="max_ready_tasks"):
+            ReproConfig.from_env({"REPRO_RUNTIME_MAX_READY_TASKS": "4"})
 
     def test_validation_rejects_bad_values(self):
         with pytest.raises(ConfigurationError, match="net_residency_budget_bytes"):
